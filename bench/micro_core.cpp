@@ -19,6 +19,7 @@
 #include "scads/scads.hpp"
 #include "scads/selection.hpp"
 #include "obs/trace.hpp"
+#include "serve/server_stats.hpp"
 #include "synth/split.hpp"
 #include "synth/tasks.hpp"
 #include "tensor/backend.hpp"
@@ -27,7 +28,6 @@
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/sync.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -370,23 +370,41 @@ BENCHMARK(BM_ServeFullEnsemble);
 
 // -------------------------------------------------------- observability
 
-/// Guard for the LatencyRecorder percentile fix: a stats snapshot reads
-/// several percentiles, which used to re-sort all samples per call.
-/// With the sorted cache this loop is O(1) per read after the first.
-void BM_LatencyRecorderPercentiles(benchmark::State& state) {
-  util::LatencyRecorder recorder;
+/// Guard for the heartbeat stall: every fleet heartbeat reads the
+/// shard's ServerStats, and a snapshot used to copy and sort every
+/// latency ever recorded. On fixed-bucket histograms its cost must not
+/// depend on how many responses came before it: /1000 and /1000000
+/// stay within 1.5x of each other.
+void BM_ServerStatsSnapshot(benchmark::State& state) {
+  serve::ServerStats stats;
   util::Rng rng(17);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  for (std::size_t i = 0; i < n; ++i) {
-    recorder.record_ms(rng.uniform() * 50.0);
+  serve::Response response;
+  response.status = serve::Status::kOk;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    response.queue_ms = rng.uniform() * 5.0;
+    response.total_ms = response.queue_ms + rng.uniform() * 50.0;
+    stats.record_response(response);
   }
-  const double ps[] = {50, 95, 99};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(recorder.percentiles_ms(ps));
+    benchmark::DoNotOptimize(stats.snapshot());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 3);
 }
-BENCHMARK(BM_LatencyRecorderPercentiles)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_ServerStatsSnapshot)->Arg(1000)->Arg(1000000);
+
+/// Per-response recording cost, from one worker and from four workers
+/// sharing one ServerStats as a server's batching workers do.
+void BM_ServerStatsRecordResponse(benchmark::State& state) {
+  static serve::ServerStats stats;
+  util::Rng rng(static_cast<std::uint64_t>(state.thread_index()) + 1);
+  serve::Response response;
+  response.status = serve::Status::kOk;
+  response.queue_ms = rng.uniform();
+  response.total_ms = response.queue_ms + rng.uniform();
+  for (auto _ : state) {
+    stats.record_response(response);
+  }
+}
+BENCHMARK(BM_ServerStatsRecordResponse)->Threads(1)->Threads(4);
 
 /// Cost of a TAGLETS_TRACE_SCOPE when tracing is off: the acceptance
 /// bar for instrumenting hot paths is that this stays at ~one branch.

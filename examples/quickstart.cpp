@@ -3,12 +3,15 @@
 // task, and compare the servable end model against plain fine-tuning.
 //
 //   ./examples/quickstart
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "baselines/finetune.hpp"
 #include "eval/lab.hpp"
 #include "nn/trainer.hpp"
 #include "taglets/controller.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 using namespace taglets;
@@ -69,8 +72,17 @@ int main() {
   std::cout << "[serving] example prediction: "
             << result.end_model.predict_name(example) << " (truth: "
             << task.class_names[task.test_labels[0]] << ")\n";
-  std::cout << "[serving] latency: " << result.end_model.latency().summary()
-            << "\n";
+  std::vector<double> latency_ms;
+  for (std::size_t i = 0; i < task.test_labels.size(); ++i) {
+    const tensor::Tensor item = task.test_inputs.row_copy(i);
+    util::Timer timer;
+    (void)result.end_model.predict(item);
+    latency_ms.push_back(timer.elapsed_ms());
+  }
+  std::sort(latency_ms.begin(), latency_ms.end());
+  std::cout << "[serving] latency over " << latency_ms.size()
+            << " predicts: mean=" << util::mean(latency_ms) << "ms p99="
+            << latency_ms[(latency_ms.size() - 1) * 99 / 100] << "ms\n";
 
   std::cout << "[done] total " << total.elapsed_seconds() << "s\n";
   return 0;

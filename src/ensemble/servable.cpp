@@ -85,7 +85,7 @@ Tensor ServableModel::quant_logits(const Tensor& inputs) const {
   return x;
 }
 
-std::vector<std::size_t> ServableModel::batch_labels(const Tensor& inputs) {
+std::vector<std::size_t> ServableModel::predict_batch(const Tensor& inputs) {
   // One forward pass for the whole batch (the GEMMs inside fan out over
   // the shared pool), then a row-parallel argmax. Rows are independent,
   // so the labels match a serial per-row predict() bit for bit.
@@ -103,12 +103,9 @@ std::vector<std::size_t> ServableModel::batch_labels(const Tensor& inputs) {
 }
 
 std::size_t ServableModel::predict(const Tensor& example) {
-  util::Timer timer;
   Tensor batch = example.is_vector() ? example.reshape(1, example.size())
                                      : example;
-  const auto labels = batch_labels(batch);
-  latency_.record_ms(timer.elapsed_ms());
-  return labels.at(0);
+  return predict_batch(batch).at(0);
 }
 
 const std::string& ServableModel::predict_name(const Tensor& example) {
@@ -116,19 +113,8 @@ const std::string& ServableModel::predict_name(const Tensor& example) {
 }
 
 Tensor ServableModel::predict_proba(const Tensor& inputs) {
-  util::Timer timer;
-  Tensor proba = precision_ == Precision::kInt8
-                     ? tensor::softmax(quant_logits(inputs))
-                     : model_.predict_proba(inputs);
-  latency_.record_ms(timer.elapsed_ms());
-  return proba;
-}
-
-std::vector<std::size_t> ServableModel::predict_batch(const Tensor& inputs) {
-  util::Timer timer;
-  auto labels = batch_labels(inputs);
-  latency_.record_ms(timer.elapsed_ms());
-  return labels;
+  return precision_ == Precision::kInt8 ? tensor::softmax(quant_logits(inputs))
+                                        : model_.predict_proba(inputs);
 }
 
 namespace {

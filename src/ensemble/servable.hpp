@@ -1,13 +1,13 @@
 // Servable end model (design principle 3 / challenge 3: low-latency
-// serving under SLAs). Wraps a single distilled classifier, records
-// per-call latency, and serializes to a compact binary file — in
-// contrast to serving the whole taglet ensemble, whose cost grows with
-// the number of modules.
+// serving under SLAs). Wraps a single distilled classifier and
+// serializes it to a compact binary file — in contrast to serving the
+// whole taglet ensemble, whose cost grows with the number of modules.
+// The model does not time itself; serve::Server times every batch.
 //
-// Concurrency: the latency recorder is thread-safe, but one model
-// instance must not run two forward passes at once (layers cache
-// activations on the instance — see nn/layers.hpp). Concurrent serving
-// uses one replica per thread; serve::Server does exactly that.
+// Concurrency: one model instance must not run two forward passes at
+// once (layers cache activations on the instance — see
+// nn/layers.hpp). Concurrent serving uses one replica per thread;
+// serve::Server does exactly that.
 //
 // Precision: serving can run the distilled model with int8-quantized
 // weights (per-row affine, tensor/quant.hpp) — activations stay float32
@@ -18,10 +18,10 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "nn/classifier.hpp"
 #include "tensor/quant.hpp"
-#include "util/timer.hpp"
 
 namespace taglets::ensemble {
 
@@ -37,18 +37,16 @@ class ServableModel {
   /// Trainable scalar count — the "model size" serving cares about.
   std::size_t parameter_count() { return model_.parameter_count(); }
 
-  /// Predict the class index of one example (records latency).
+  /// Predict the class index of one example.
   std::size_t predict(const tensor::Tensor& example);
   /// Predict class name of one example.
   const std::string& predict_name(const tensor::Tensor& example);
-  /// Batch probabilities (records one latency sample for the batch).
+  /// Batch probabilities.
   tensor::Tensor predict_proba(const tensor::Tensor& inputs);
   /// Batch class indices. The forward pass and the per-row argmax both
   /// run on the shared util::Parallel pool; results are identical to
-  /// calling predict() row by row (records one latency sample).
+  /// calling predict() row by row.
   std::vector<std::size_t> predict_batch(const tensor::Tensor& inputs);
-
-  const util::LatencyRecorder& latency() const { return latency_; }
 
   /// Switch the serving forward pass between float32 and int8. The
   /// first switch to kInt8 quantizes every Linear weight matrix
@@ -77,11 +75,9 @@ class ServableModel {
   };
 
   tensor::Tensor quant_logits(const tensor::Tensor& inputs) const;
-  std::vector<std::size_t> batch_labels(const tensor::Tensor& inputs);
 
   nn::Classifier model_;
   std::vector<std::string> class_names_;
-  util::LatencyRecorder latency_;
   Precision precision_ = Precision::kFloat32;
   std::vector<QuantOp> quant_ops_;
 };

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -44,8 +45,11 @@ Histogram::Snapshot Histogram::snapshot() const {
 }
 
 std::vector<double> default_latency_buckets_ms() {
-  return {0.05, 0.1, 0.25, 0.5, 1.0,  2.5,   5.0,
-          10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 2500.0};
+  std::vector<double> bounds;
+  for (int tenth = -20; tenth <= 40; ++tenth) {  // 10^-2 ms .. 10^4 ms
+    bounds.push_back(std::pow(10.0, tenth / 10.0));
+  }
+  return bounds;
 }
 
 double histogram_quantile(const Histogram::Snapshot& snap, double q) {
@@ -175,8 +179,7 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
                   "MetricsRegistry: '" + name +
                       "' already registered as another kind");
     it = s.histograms
-             .emplace(name,
-                      std::unique_ptr<Histogram>(new Histogram(std::move(bounds))))
+             .emplace(name, std::make_unique<Histogram>(std::move(bounds)))
              .first;
   } else {
     TAGLETS_CHECK_EQ(it->second->bounds_, bounds,

@@ -58,9 +58,13 @@ class Gauge {
 /// Fixed-bucket histogram: counts per upper bound plus an implicit
 /// +inf overflow bucket, with total count and sum for mean recovery.
 /// Bucket bounds are fixed at creation so concurrent observes never
-/// allocate or lock.
+/// allocate or lock. Registry-owned histograms come from
+/// MetricsRegistry::histogram(); a component that needs counts of its
+/// own (one per server instance) constructs one directly.
 class Histogram {
  public:
+  explicit Histogram(std::vector<double> bounds);
+
   void observe(double v);
 
   struct Snapshot {
@@ -76,7 +80,6 @@ class Histogram {
 
  private:
   friend class MetricsRegistry;
-  explicit Histogram(std::vector<double> bounds);
 
   std::vector<double> bounds_;
   std::vector<std::atomic<std::uint64_t>> counts_;  // bounds_.size() + 1
@@ -84,7 +87,10 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Default bucket bounds for millisecond latencies, 50us to 2.5s.
+/// Bucket bounds for millisecond latencies, shared by every latency
+/// histogram: log-spaced at ten per decade (adjacent bounds 10^0.1 ≈
+/// 1.259x apart) from 10 us to 10 s, so a quantile interpolated inside
+/// one bucket is off by at most ~26% of its value.
 std::vector<double> default_latency_buckets_ms();
 
 /// Quantile estimate (q in [0,1]) from a histogram snapshot by linear

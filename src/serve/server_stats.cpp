@@ -13,7 +13,9 @@ std::vector<double> batch_size_buckets() {
 
 }  // namespace
 
-ServerStats::ServerStats() {
+ServerStats::ServerStats()
+    : queue_wait_ms_(obs::default_latency_buckets_ms()),
+      latency_ms_(obs::default_latency_buckets_ms()) {
   // One metrics surface: every ServerStats (there is normally one per
   // server, all servers in a process share the registry) mirrors its
   // counters into the process-wide registry at record time, so
@@ -45,8 +47,11 @@ void ServerStats::set_workers(std::size_t workers) {
 void ServerStats::record_submitted(std::size_t queue_depth) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   reg_submitted_->add();
-  util::MutexLock lock(mu_);
-  if (queue_depth > peak_queue_depth_) peak_queue_depth_ = queue_depth;
+  std::size_t peak = peak_queue_depth_.load(std::memory_order_relaxed);
+  while (queue_depth > peak &&
+         !peak_queue_depth_.compare_exchange_weak(peak, queue_depth,
+                                                  std::memory_order_relaxed)) {
+  }
 }
 
 void ServerStats::record_rejected(Status reason) {
@@ -61,13 +66,9 @@ void ServerStats::record_rejected(Status reason) {
 
 void ServerStats::record_batch(std::size_t batch_size) {
   batches_.fetch_add(1, std::memory_order_relaxed);
+  batched_rows_.fetch_add(batch_size, std::memory_order_relaxed);
   reg_batches_->add();
   reg_batch_size_->observe(static_cast<double>(batch_size));
-  util::MutexLock lock(mu_);
-  if (batch_size >= batch_size_counts_.size()) {
-    batch_size_counts_.resize(batch_size + 1, 0);
-  }
-  ++batch_size_counts_[batch_size];
 }
 
 void ServerStats::record_response(const Response& response) {
@@ -75,7 +76,7 @@ void ServerStats::record_response(const Response& response) {
     case Status::kOk:
       completed_.fetch_add(1, std::memory_order_relaxed);
       reg_completed_->add();
-      total_latency_.record_ms(response.total_ms);
+      latency_ms_.observe(response.total_ms);
       reg_latency_ms_->observe(response.total_ms);
       break;
     case Status::kDeadlineExceeded:
@@ -91,11 +92,11 @@ void ServerStats::record_response(const Response& response) {
       reg_failed_error_->add();
       break;
   }
-  queue_wait_.record_ms(response.queue_ms);
+  queue_wait_ms_.observe(response.queue_ms);
   reg_queue_wait_ms_->observe(response.queue_ms);
 }
 
-ServerStats::Snapshot ServerStats::snapshot() const {
+ServerStats::Snapshot ServerStats::counters() const {
   Snapshot s;
   s.workers = workers_.load(std::memory_order_relaxed);
   s.submitted = submitted_.load(std::memory_order_relaxed);
@@ -105,31 +106,26 @@ ServerStats::Snapshot ServerStats::snapshot() const {
   s.deadline_missed = deadline_missed_.load(std::memory_order_relaxed);
   s.failed_shutdown = failed_shutdown_.load(std::memory_order_relaxed);
   s.failed_error = failed_error_.load(std::memory_order_relaxed);
+  s.peak_queue_depth = peak_queue_depth_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
-  {
-    util::MutexLock lock(mu_);
-    s.peak_queue_depth = peak_queue_depth_;
-    s.batch_size_counts = batch_size_counts_;
-  }
-  std::uint64_t rows = 0;
-  for (std::size_t size = 0; size < s.batch_size_counts.size(); ++size) {
-    rows += s.batch_size_counts[size] * size;
-  }
+  const std::uint64_t rows = batched_rows_.load(std::memory_order_relaxed);
   s.mean_batch_size =
       s.batches == 0 ? 0.0
                      : static_cast<double>(rows) / static_cast<double>(s.batches);
-  // Batch percentile reads: one sort per recorder per snapshot instead
-  // of one per percentile.
-  const double ps[] = {50, 95, 99};
-  const std::vector<double> queue_ps = queue_wait_.percentiles_ms(ps);
-  s.queue_p50_ms = queue_ps[0];
-  s.queue_p95_ms = queue_ps[1];
-  s.queue_p99_ms = queue_ps[2];
-  const std::vector<double> latency_ps = total_latency_.percentiles_ms(ps);
-  s.latency_mean_ms = total_latency_.mean_ms();
-  s.latency_p50_ms = latency_ps[0];
-  s.latency_p95_ms = latency_ps[1];
-  s.latency_p99_ms = latency_ps[2];
+  return s;
+}
+
+ServerStats::Snapshot ServerStats::snapshot() const {
+  Snapshot s = counters();
+  const obs::Histogram::Snapshot queue = queue_wait_ms_.snapshot();
+  s.queue_p50_ms = obs::histogram_quantile(queue, 0.50);
+  s.queue_p95_ms = obs::histogram_quantile(queue, 0.95);
+  s.queue_p99_ms = obs::histogram_quantile(queue, 0.99);
+  const obs::Histogram::Snapshot latency = latency_ms_.snapshot();
+  s.latency_mean_ms = latency.mean();
+  s.latency_p50_ms = obs::histogram_quantile(latency, 0.50);
+  s.latency_p95_ms = obs::histogram_quantile(latency, 0.95);
+  s.latency_p99_ms = obs::histogram_quantile(latency, 0.99);
   return s;
 }
 
@@ -147,15 +143,7 @@ std::string ServerStats::report() const {
      << " failed_shutdown=" << s.failed_shutdown
      << " failed_error=" << s.failed_error << "\n"
      << "  batches: n=" << s.batches << " mean_size=" << s.mean_batch_size
-     << " sizes=[";
-  bool first = true;
-  for (std::size_t size = 1; size < s.batch_size_counts.size(); ++size) {
-    if (s.batch_size_counts[size] == 0) continue;
-    if (!first) os << " ";
-    os << size << "x" << s.batch_size_counts[size];
-    first = false;
-  }
-  os << "]\n"
+     << "\n"
      << "  queue: peak_depth=" << s.peak_queue_depth
      << " wait p50=" << s.queue_p50_ms << "ms p95=" << s.queue_p95_ms
      << "ms p99=" << s.queue_p99_ms << "ms\n"

@@ -1,10 +1,14 @@
-// Thread-safe serving telemetry: outcome counters, queue-depth and
-// batch-size distributions, and end-to-end latency percentiles. All
-// recording methods may be called concurrently from client threads,
-// batching workers, and the shutdown path; readers get a consistent
-// snapshot. Exported both as a human-readable text report and as a
-// single-line JSON blob so benches and CI can track the serving
-// trajectory across PRs.
+// Thread-safe serving telemetry: outcome counters, peak queue depth,
+// mean batch size, and queue-wait and end-to-end latency percentiles.
+// All recording methods may be called concurrently from client threads,
+// batching workers, and the shutdown path, and none of them locks or
+// allocates: counters are relaxed atomics and the two latency
+// distributions are fixed-bucket obs::Histograms owned by this instance.
+// A snapshot therefore costs O(buckets) however long the server has
+// run; its percentiles are interpolated inside the bucket that holds
+// them (obs::histogram_quantile). Exported both as a human-readable
+// text report and as a single-line JSON blob so benches and CI can
+// track the serving trajectory across PRs.
 //
 // Every recording method also updates the process-wide
 // obs::MetricsRegistry (serve.* counters and histograms), so the serve
@@ -16,12 +20,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "serve/request_queue.hpp"
-#include "util/sync.hpp"
-#include "util/timer.hpp"
 
 namespace taglets::serve {
 
@@ -43,7 +44,7 @@ class ServerStats {
   /// kShutdown / kError) with its latency breakdown.
   void record_response(const Response& response);
 
-  /// Point-in-time copy of every counter and distribution.
+  /// Point-in-time copy of every counter and distribution summary.
   struct Snapshot {
     std::size_t workers = 0;             // replica/worker count
     std::uint64_t submitted = 0;         // admitted into the queue
@@ -55,9 +56,6 @@ class ServerStats {
     std::uint64_t failed_error = 0;      // resolved kError
     std::uint64_t batches = 0;           // micro-batches dispatched
     std::size_t peak_queue_depth = 0;
-    /// batch_size_counts[s] = number of batches with exactly s rows
-    /// (index 0 unused).
-    std::vector<std::uint64_t> batch_size_counts;
     double mean_batch_size = 0.0;
     double queue_p50_ms = 0.0, queue_p95_ms = 0.0, queue_p99_ms = 0.0;
     double latency_mean_ms = 0.0;
@@ -78,7 +76,14 @@ class ServerStats {
       return deadline_missed + failed_shutdown + failed_error;
     }
   };
+  /// The counters alone, with mean_batch_size; the latency fields stay
+  /// zero. A handful of atomic loads, for readers on a hot or periodic
+  /// path such as the fleet heartbeat.
+  Snapshot counters() const;
+  /// counters() plus the latency mean and percentiles.
   Snapshot snapshot() const;
+  /// Admission-to-response latency of every kOk request.
+  const obs::Histogram& latency_histogram() const { return latency_ms_; }
 
   /// Multi-line human-readable report.
   std::string report() const;
@@ -95,13 +100,11 @@ class ServerStats {
   std::atomic<std::uint64_t> failed_shutdown_{0};
   std::atomic<std::uint64_t> failed_error_{0};
   std::atomic<std::uint64_t> batches_{0};
+  std::atomic<std::uint64_t> batched_rows_{0};
+  std::atomic<std::size_t> peak_queue_depth_{0};
 
-  mutable util::Mutex mu_{"serve.stats", util::lockrank::kServeStats};
-  std::size_t peak_queue_depth_ TAGLETS_GUARDED_BY(mu_) = 0;
-  std::vector<std::uint64_t> batch_size_counts_ TAGLETS_GUARDED_BY(mu_);
-
-  util::LatencyRecorder queue_wait_;    // admission -> dispatch (resolved only)
-  util::LatencyRecorder total_latency_; // admission -> response, kOk only
+  obs::Histogram queue_wait_ms_;  // admission -> dispatch (resolved only)
+  obs::Histogram latency_ms_;     // admission -> response, kOk only
 
   // Cached registry handles (registry references are stable for the
   // process lifetime, so recording is a single atomic op per metric).

@@ -123,7 +123,6 @@ inline constexpr int kFleetShardSwap = 200;
 // Serving tier (acquired under fleet locks via shard dispatch).
 inline constexpr int kServeLifecycle = 210;
 inline constexpr int kServeQueue = 220;
-inline constexpr int kServeStats = 230;
 // Pipeline tier: the task-graph scheduler state and the backbone zoo.
 // Both are leaf-like (their critical sections acquire nothing — node
 // bodies and pretraining run with the lock dropped), but they are
@@ -131,7 +130,6 @@ inline constexpr int kServeStats = 230;
 inline constexpr int kPipelineGraph = 232;
 inline constexpr int kBackboneZoo = 236;
 // Util leaves.
-inline constexpr int kUtilLatency = 240;
 inline constexpr int kUtilPool = 250;
 inline constexpr int kUtilParallelErr = 255;
 inline constexpr int kUtilFault = 260;

@@ -1,14 +1,8 @@
-// Wall-clock timing helpers for the serving-latency accounting the paper
+// Wall-clock timing helper for the serving-latency accounting the paper
 // motivates (challenge 3: pipelines are difficult to serve in production).
 #pragma once
 
 #include <chrono>
-#include <cstddef>
-#include <span>
-#include <string>
-#include <vector>
-
-#include "util/sync.hpp"
 
 namespace taglets::util {
 
@@ -25,46 +19,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Collects per-call latencies and reports simple percentiles.
-/// Thread-safe: record_ms and all readers may be called concurrently
-/// (serving paths record from multiple worker threads at once). Copies
-/// and moves snapshot the samples under the source's lock and give the
-/// destination a fresh mutex; source and destination locks are never
-/// held together, so two recorders sharing one lock rank cannot
-/// deadlock.
-class LatencyRecorder {
- public:
-  LatencyRecorder() = default;
-  LatencyRecorder(const LatencyRecorder& other);
-  LatencyRecorder& operator=(const LatencyRecorder& other);
-  LatencyRecorder(LatencyRecorder&& other) noexcept;
-  LatencyRecorder& operator=(LatencyRecorder&& other) noexcept;
-
-  void record_ms(double ms);
-  std::size_t count() const;
-  double mean_ms() const;
-  double percentile_ms(double p) const;  // p in [0, 100]
-  /// Many percentiles from one snapshot: sorts (or reuses the cached
-  /// sorted view of) the samples once instead of once per percentile.
-  std::vector<double> percentiles_ms(std::span<const double> ps) const;
-  std::string summary() const;
-  /// Snapshot copy of all recorded samples, in record order.
-  std::vector<double> samples() const;
-
- private:
-  /// Rebuild the sorted cache if stale; call with mu_ held.
-  void ensure_sorted_locked() const TAGLETS_REQUIRES(mu_);
-  static double percentile_sorted(const std::vector<double>& sorted, double p);
-
-  mutable Mutex mu_{"util.latency", lockrank::kUtilLatency};
-  std::vector<double> samples_ TAGLETS_GUARDED_BY(mu_);
-  /// Sorted copy of samples_, rebuilt lazily: percentile readers used
-  /// to re-sort the full vector on every call, which made a stats
-  /// snapshot O(k · n log n) for k percentiles.
-  mutable std::vector<double> sorted_ TAGLETS_GUARDED_BY(mu_);
-  mutable bool sorted_valid_ TAGLETS_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace taglets::util

@@ -168,13 +168,12 @@ TEST(Distill, ValidatesPseudoLabelRows) {
 
 // ------------------------------------------------------------- servable
 
-TEST(Servable, PredictRecordsLatencyAndNames) {
+TEST(Servable, PredictReturnsIndexAndName) {
   Taglet taglet = make_constant_taglet("m", 3, 2, 1);
   ServableModel model(taglet.model(), {"cat", "dog"});
   Tensor example = Tensor::from_vector({0.0f, 0.0f, 0.0f});
   EXPECT_EQ(model.predict(example), 1u);
   EXPECT_EQ(model.predict_name(example), "dog");
-  EXPECT_EQ(model.latency().count(), 2u);
   EXPECT_EQ(model.num_classes(), 2u);
   EXPECT_GT(model.parameter_count(), 0u);
 }

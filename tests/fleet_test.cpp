@@ -494,6 +494,34 @@ TEST(FleetShard, ServesPredictsOverSocket) {
   shard.stop();
 }
 
+// The heartbeat copies counters instead of building a full stats
+// snapshot; after a burst it must still report exactly what the shard's
+// own stats do, deadline misses included.
+TEST(FleetShard, PongCountersMatchStatsSnapshot) {
+  const std::string dir = unique_dir();
+  ShardServer shard(make_identity_servable(kDim),
+                    shard_config("unix:" + dir + "/shard.sock"));
+  shard.start();
+  FleetClient client({"unix:" + dir + "/shard.sock"});
+
+  util::Rng rng(8);
+  std::vector<std::future<PredictResponse>> pending;
+  for (int i = 0; i < 96; ++i) {
+    // Every third request carries a deadline that has passed by dispatch.
+    const double deadline_ms = i % 3 == 0 ? 1e-6 : 0.0;
+    pending.push_back(client.submit(random_features(rng), 0, deadline_ms));
+  }
+  for (auto& f : pending) (void)f.get();
+
+  const Pong pong = client.ping();
+  const serve::ServerStats::Snapshot s = shard.stats_snapshot();
+  EXPECT_EQ(pong.requests_ok, s.completed);
+  EXPECT_EQ(pong.requests_rejected, s.rejected_total());
+  EXPECT_EQ(pong.requests_deadline_missed, s.deadline_missed);
+  EXPECT_EQ(pong.requests_ok + pong.requests_deadline_missed, pending.size());
+  shard.stop();
+}
+
 TEST(FleetShard, WrongDimensionAnswersErrorNotDisconnect) {
   const std::string dir = unique_dir();
   ShardServer shard(make_identity_servable(kDim),

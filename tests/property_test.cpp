@@ -3,6 +3,7 @@
 // example-based unit tests with coverage of the input space.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <numeric>
@@ -624,6 +625,58 @@ TEST_P(MetricsWireSweepTest, RandomSnapshotLayoutsRoundTripExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MetricsWireSweepTest,
                          ::testing::Values(1, 7, 42, 99, 1234, 20260807));
+
+// ------------------------------------------ latency quantile resolution
+
+// ServerStats reports percentiles interpolated inside the shared latency
+// bucket layout. The layout must stay fine (adjacent bounds <= 1.26x
+// apart over 10 us - 10 s), and for log-uniform samples the interpolated
+// quantile must land inside the bucket that holds the exact nearest-rank
+// sample, so the error is bounded by that bucket's width.
+class LatencyQuantileSweepTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LatencyQuantileSweepTest, QuantileLandsInNearestRankSampleBucket) {
+  const std::vector<double> bounds = obs::default_latency_buckets_ms();
+  ASSERT_LE(bounds.front(), 0.01);
+  ASSERT_GE(bounds.back(), 10000.0);
+  for (std::size_t i = 1; i < bounds.size(); ++i) {
+    ASSERT_LE(bounds[i] / bounds[i - 1], 1.26) << "bound " << i;
+  }
+
+  util::Rng rng(GetParam());
+  // A random sub-range of the six decades, so some seeds pile the
+  // samples into a few buckets and others spread them over all.
+  const double lo_exp = -2.0 + 6.0 * rng.uniform();
+  const double hi_exp = lo_exp + (4.0 - lo_exp) * rng.uniform();
+  const std::size_t n = 1 + rng.uniform_index(5000);
+  obs::Histogram hist(bounds);
+  std::vector<double> samples(n);
+  for (double& v : samples) {
+    v = std::pow(10.0, lo_exp + (hi_exp - lo_exp) * rng.uniform());
+    hist.observe(v);
+  }
+  std::sort(samples.begin(), samples.end());
+  const obs::Histogram::Snapshot snap = hist.snapshot();
+  for (const double q : {0.5, 0.95, 0.99}) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(n)));  // 1-based nearest rank
+    const double exact = samples[rank - 1];
+    const std::size_t b = static_cast<std::size_t>(
+        std::lower_bound(bounds.begin(), bounds.end(), exact) -
+        bounds.begin());
+    const double bucket_lo = b == 0 ? 0.0 : bounds[b - 1];
+    const double bucket_hi = bounds[b];
+    const double estimate = obs::histogram_quantile(snap, q);
+    EXPECT_GE(estimate, bucket_lo * (1.0 - 1e-12))
+        << "q=" << q << " n=" << n << " exact=" << exact;
+    EXPECT_LE(estimate, bucket_hi * (1.0 + 1e-12))
+        << "q=" << q << " n=" << n << " exact=" << exact;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LatencyQuantileSweepTest,
+                         ::testing::Range<std::uint64_t>(1, 41));
 
 // ------------------------------------------------- task-graph executor
 

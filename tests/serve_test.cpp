@@ -576,6 +576,16 @@ TEST(ServerStats, ConcurrentRecordingIsSafe) {
   EXPECT_EQ(s.submitted, static_cast<std::uint64_t>(kThreads * kPer));
   EXPECT_EQ(s.completed, static_cast<std::uint64_t>(kThreads * kPer));
   EXPECT_EQ(s.batches, static_cast<std::uint64_t>(kThreads * kPer));
+  EXPECT_EQ(s.peak_queue_depth, 10u);
+  // No lost updates on the lock-free path: every ok response reached
+  // the latency histogram, and every batch's rows the mean.
+  EXPECT_EQ(stats.latency_histogram().snapshot().count, s.completed);
+  std::uint64_t rows = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPer; ++i) rows += 1 + (i + t) % 4;
+  }
+  EXPECT_DOUBLE_EQ(s.mean_batch_size,
+                   static_cast<double>(rows) / (kThreads * kPer));
 }
 
 }  // namespace

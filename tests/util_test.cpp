@@ -354,78 +354,6 @@ TEST(Timer, MeasuresElapsedTime) {
   EXPECT_GE(timer.elapsed_ms(), 0.0);
 }
 
-TEST(LatencyRecorder, PercentilesAndSummary) {
-  LatencyRecorder recorder;
-  for (int i = 1; i <= 100; ++i) recorder.record_ms(i);
-  EXPECT_EQ(recorder.count(), 100u);
-  EXPECT_NEAR(recorder.mean_ms(), 50.5, 1e-9);
-  EXPECT_NEAR(recorder.percentile_ms(0), 1.0, 1e-9);
-  EXPECT_NEAR(recorder.percentile_ms(100), 100.0, 1e-9);
-  EXPECT_NEAR(recorder.percentile_ms(50), 50.5, 1e-9);
-  EXPECT_NE(recorder.summary().find("p99"), std::string::npos);
-}
-
-// Regression test for the record_ms data race: serving paths record
-// from several worker threads while readers poll percentiles (run under
-// ThreadSanitizer in CI). record_ms used to do an unguarded push_back.
-TEST(LatencyRecorder, ConcurrentRecordAndReadIsThreadSafe) {
-  LatencyRecorder recorder;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 1000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&recorder, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        recorder.record_ms(static_cast<double>((i + t) % 17));
-        if (i % 100 == 0) {
-          (void)recorder.percentile_ms(99);
-          (void)recorder.summary();
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(recorder.count(),
-            static_cast<std::size_t>(kThreads) * kPerThread);
-  // Copies snapshot the samples and stay independent afterwards.
-  LatencyRecorder copy = recorder;
-  recorder.record_ms(1.0);
-  EXPECT_EQ(copy.count(), static_cast<std::size_t>(kThreads) * kPerThread);
-}
-
-// Regression tests for the percentile sorted cache: percentile_ms and
-// summary() used to re-sort every sample on each call.
-TEST(LatencyRecorder, RepeatedPercentileCallsAreStable) {
-  LatencyRecorder recorder;
-  for (int i = 100; i >= 1; --i) recorder.record_ms(i);  // reverse order
-  const double first = recorder.percentile_ms(90);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(recorder.percentile_ms(90), first);
-  }
-}
-
-TEST(LatencyRecorder, SortedCacheInvalidatedByNewSamples) {
-  LatencyRecorder recorder;
-  recorder.record_ms(10.0);
-  EXPECT_NEAR(recorder.percentile_ms(100), 10.0, 1e-9);  // builds cache
-  recorder.record_ms(20.0);  // must invalidate it
-  EXPECT_NEAR(recorder.percentile_ms(100), 20.0, 1e-9);
-  EXPECT_NEAR(recorder.percentile_ms(0), 10.0, 1e-9);
-}
-
-TEST(LatencyRecorder, BatchPercentilesMatchIndividualCalls) {
-  LatencyRecorder recorder;
-  Rng rng(11);
-  for (int i = 0; i < 500; ++i) recorder.record_ms(rng.uniform() * 100.0);
-  const double ps[] = {0, 25, 50, 95, 99, 100};
-  const std::vector<double> batch = recorder.percentiles_ms(ps);
-  ASSERT_EQ(batch.size(), 6u);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], recorder.percentile_ms(ps[i]));
-  }
-  EXPECT_TRUE(recorder.percentiles_ms({}).empty());
-}
-
 // ---------------------------------------------------------- threadpool
 
 TEST(ThreadPool, ParallelForRunsEveryIndexOnce) {

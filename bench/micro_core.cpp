@@ -11,7 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include "ensemble/ensemble.hpp"
-#include "ensemble/servable.hpp"
 #include "graph/retrofit.hpp"
 #include "modules/module.hpp"
 #include "nn/classifier.hpp"
@@ -24,7 +23,6 @@
 #include "synth/tasks.hpp"
 #include "tensor/backend.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/quant.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/sync.hpp"
@@ -210,23 +208,6 @@ void BM_SoftmaxBackendNative(benchmark::State& state) {
 }
 BENCHMARK(BM_SoftmaxBackendNative);
 
-// Weight-only int8 GEMM (the serving path) vs the float GEMM it
-// replaces, at a serving-sized batch of 16 rows.
-void BM_Int8Matmul(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  util::Parallel pool(1);
-  BenchParallelOverride pool_guard(&pool);
-  tensor::Tensor x = bench_random_matrix(16, n, 7);
-  tensor::Tensor w = bench_random_matrix(n, n, 8);
-  const tensor::QuantizedMatrix q = tensor::quantize_rows(w);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::matmul_quant(x, q));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * 16 * n * n));
-}
-BENCHMARK(BM_Int8Matmul)->Arg(128)->Arg(256);
-
 void BM_EnsembleProbaThreads(benchmark::State& state) {
   util::Parallel pool(static_cast<std::size_t>(state.range(0)));
   BenchParallelOverride guard(&pool);
@@ -331,23 +312,6 @@ void BM_ServeEndModel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServeEndModel);
-
-/// Same single-example serving loop as BM_ServeEndModel, but through
-/// the int8-quantized ServableModel path (weight-only quantization).
-void BM_ServeEndModelInt8(benchmark::State& state) {
-  std::vector<std::string> names;
-  for (int i = 0; i < 65; ++i) names.push_back("class-" + std::to_string(i));
-  ensemble::ServableModel model(make_serving_model(65), std::move(names));
-  model.set_precision(ensemble::Precision::kInt8);
-  util::Rng rng(4);
-  tensor::Tensor example =
-      bench_world().sample_image(10, synth::Domain::kProduct, rng);
-  tensor::Tensor batch = example.reshape(1, example.size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.predict_proba(batch));
-  }
-}
-BENCHMARK(BM_ServeEndModelInt8);
 
 void BM_ServeFullEnsemble(benchmark::State& state) {
   std::vector<nn::Classifier> ensemble;

@@ -15,16 +15,10 @@
 //   TAGLETS_SERVE_REPEATS   runs per setting, best kept   (default 2)
 //   TAGLETS_SERVE_JSON_OUT  also write the combined JSON to this path
 //
-// The whole worker sweep runs twice, once per serving precision
-// (float32 and int8 — see ensemble::ServableModel::set_precision), so
-// the quantized path's throughput/latency is tracked alongside the
-// float path it must not regress.
-//
-// Emits one machine-readable JSON line per (precision, workers) setting
-// ({"bench":"serve_loadgen","precision":...,"workers":...,
-// "throughput_rps":...,...}) so future PRs can track the serving
-// trajectory, and exits non-zero if 4 workers fail to beat 1 worker (on
-// the float32 sweep) or any response is lost. The scaling
+// Emits one machine-readable JSON line per worker setting
+// ({"bench":"serve_loadgen","workers":...,"throughput_rps":...,...}) so
+// future PRs can track the serving trajectory, and exits non-zero if 4
+// workers fail to beat 1 worker or any response is lost. The scaling
 // assertion requires >= 4 hardware threads; on smaller machines (where
 // extra workers can only time-slice one core) it is reported but not
 // enforced — the zero-lost-responses invariant always is.
@@ -115,14 +109,13 @@ RunResult run_once(const ensemble::ServableModel& model, std::size_t workers,
   return result;
 }
 
-std::string json_line(const char* precision, std::size_t workers,
-                      std::size_t requests, std::size_t clients,
-                      std::size_t max_batch, const RunResult& r) {
+std::string json_line(std::size_t workers, std::size_t requests,
+                      std::size_t clients, std::size_t max_batch,
+                      const RunResult& r) {
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(3);
-  os << "{\"bench\":\"serve_loadgen\",\"precision\":\"" << precision
-     << "\",\"workers\":" << workers
+  os << "{\"bench\":\"serve_loadgen\",\"workers\":" << workers
      << ",\"requests\":" << requests << ",\"clients\":" << clients
      << ",\"max_batch\":" << max_batch
      << ",\"throughput_rps\":" << r.throughput_rps
@@ -164,40 +157,24 @@ int main() {
             << " max_batch=" << max_batch << " repeats=" << repeats << "\n";
 
   const std::array<std::size_t, 3> worker_settings{1, 2, 4};
-  struct PrecisionSweep {
-    const char* name;
-    ensemble::Precision precision;
-  };
-  const std::array<PrecisionSweep, 2> sweeps{
-      {{"float32", ensemble::Precision::kFloat32},
-       {"int8", ensemble::Precision::kInt8}}};
-  std::array<RunResult, 3> best{};  // float32 results drive the gate below
+  std::array<RunResult, 3> best{};
   std::vector<std::string> json_lines;
   bool lost = false;
-  for (const PrecisionSweep& sweep : sweeps) {
-    model.set_precision(sweep.precision);
-    for (std::size_t w = 0; w < worker_settings.size(); ++w) {
-      RunResult best_run{};
-      for (std::size_t rep = 0; rep < repeats; ++rep) {
-        const RunResult r = run_once(model, worker_settings[w], requests,
-                                     clients, max_batch, inputs);
-        if (r.responded != requests || r.ok != requests) lost = true;
-        if (r.throughput_rps > best_run.throughput_rps) best_run = r;
-      }
-      if (sweep.precision == ensemble::Precision::kFloat32) {
-        best[w] = best_run;
-      }
-      std::cout << "precision=" << sweep.name
-                << " workers=" << worker_settings[w]
-                << " throughput=" << best_run.throughput_rps << " req/s p50="
-                << best_run.p50_ms << "ms p99=" << best_run.p99_ms
-                << "ms mean_batch=" << best_run.mean_batch << "\n";
-      json_lines.push_back(json_line(sweep.name, worker_settings[w], requests,
-                                     clients, max_batch, best_run));
-      std::cout << json_lines.back() << "\n";
+  for (std::size_t w = 0; w < worker_settings.size(); ++w) {
+    for (std::size_t rep = 0; rep < repeats; ++rep) {
+      const RunResult r = run_once(model, worker_settings[w], requests,
+                                   clients, max_batch, inputs);
+      if (r.responded != requests || r.ok != requests) lost = true;
+      if (r.throughput_rps > best[w].throughput_rps) best[w] = r;
     }
+    std::cout << "workers=" << worker_settings[w]
+              << " throughput=" << best[w].throughput_rps << " req/s p50="
+              << best[w].p50_ms << "ms p99=" << best[w].p99_ms
+              << "ms mean_batch=" << best[w].mean_batch << "\n";
+    json_lines.push_back(json_line(worker_settings[w], requests, clients,
+                                   max_batch, best[w]));
+    std::cout << json_lines.back() << "\n";
   }
-  model.set_precision(ensemble::Precision::kFloat32);
 
   util::Parallel::exchange_global(previous);
 

@@ -53,9 +53,7 @@ done
 
 # Serving benches: each emits a committed BENCH_*.json snapshot
 # tracked across PRs (in-process server, micro kernels, the fleet
-# drill: 3 shard processes, one SIGKILLed mid-run, and the pipeline
-# scheduling A/B: serial stages vs the task-graph plan, bitwise-checked).
-TAGLETS_PIPELINE_JSON_OUT=BENCH_pipeline.json build/bench/pipeline_bench
+# drill: 3 shard processes, one SIGKILLed mid-run).
 TAGLETS_SERVE_JSON_OUT=BENCH_serve.json build/bench/serve_loadgen
 build/bench/micro_core --benchmark_out=BENCH_micro_core.json \
   --benchmark_out_format=json

@@ -1,6 +1,5 @@
 #include "ensemble/servable.hpp"
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -9,7 +8,6 @@
 #include "tensor/ops.hpp"
 #include "util/atomic_io.hpp"
 #include "util/check.hpp"
-#include "util/env.hpp"
 #include "util/parallel.hpp"
 
 namespace taglets::ensemble {
@@ -23,75 +21,11 @@ ServableModel::ServableModel(nn::Classifier model,
                    "ServableModel: class name count mismatch");
 }
 
-void ServableModel::set_precision(Precision precision) {
-  if (precision == Precision::kInt8 && quant_ops_.empty()) {
-    // Flatten the encoder + head into a linear program of quantizable
-    // steps. Dropout is identity at eval time and is simply dropped;
-    // any layer kind this walk does not recognize cannot be served
-    // quantized, and silently falling back to float here would make
-    // the precision setting a lie — so throw instead.
-    std::vector<QuantOp> ops;
-    auto add_linear = [&ops](const nn::Linear& linear) {
-      QuantOp op;
-      op.kind = QuantOp::Kind::kLinear;
-      op.weight = tensor::quantize_rows(linear.weight().value);
-      op.bias = linear.bias().value;
-      ops.push_back(std::move(op));
-    };
-    auto walk = [&](auto&& self, const nn::Sequential& seq) -> void {
-      for (std::size_t i = 0; i < seq.layer_count(); ++i) {
-        const nn::Layer& layer = seq.layer(i);
-        if (const auto* lin = dynamic_cast<const nn::Linear*>(&layer)) {
-          add_linear(*lin);
-        } else if (dynamic_cast<const nn::ReLU*>(&layer) != nullptr) {
-          ops.push_back(QuantOp{QuantOp::Kind::kRelu, {}, {}});
-        } else if (dynamic_cast<const nn::Tanh*>(&layer) != nullptr) {
-          ops.push_back(QuantOp{QuantOp::Kind::kTanh, {}, {}});
-        } else if (dynamic_cast<const nn::Dropout*>(&layer) != nullptr) {
-          continue;
-        } else if (const auto* nested =
-                       dynamic_cast<const nn::Sequential*>(&layer)) {
-          self(self, *nested);
-        } else {
-          throw std::runtime_error(
-              "ServableModel::set_precision: layer kind '" + layer.name() +
-              "' has no int8 serving path");
-        }
-      }
-    };
-    walk(walk, model_.encoder());
-    add_linear(model_.head());
-    quant_ops_ = std::move(ops);
-  }
-  precision_ = precision;
-}
-
-Tensor ServableModel::quant_logits(const Tensor& inputs) const {
-  Tensor x = inputs;
-  for (const QuantOp& op : quant_ops_) {
-    switch (op.kind) {
-      case QuantOp::Kind::kLinear:
-        x = tensor::add_row_broadcast(tensor::matmul_quant(x, op.weight),
-                                      op.bias);
-        break;
-      case QuantOp::Kind::kRelu:
-        for (float& v : x.data()) v = v > 0.0f ? v : 0.0f;
-        break;
-      case QuantOp::Kind::kTanh:
-        for (float& v : x.data()) v = std::tanh(v);
-        break;
-    }
-  }
-  return x;
-}
-
 std::vector<std::size_t> ServableModel::predict_batch(const Tensor& inputs) {
   // One forward pass for the whole batch (the GEMMs inside fan out over
   // the shared pool), then a row-parallel argmax. Rows are independent,
   // so the labels match a serial per-row predict() bit for bit.
-  Tensor logits = precision_ == Precision::kInt8
-                      ? quant_logits(inputs)
-                      : model_.logits(inputs, /*training=*/false);
+  Tensor logits = model_.logits(inputs, /*training=*/false);
   std::vector<std::size_t> labels(logits.rows());
   util::parallel_for_ranges(logits.rows(),
                             [&](std::size_t begin, std::size_t end) {
@@ -113,8 +47,7 @@ const std::string& ServableModel::predict_name(const Tensor& example) {
 }
 
 Tensor ServableModel::predict_proba(const Tensor& inputs) {
-  return precision_ == Precision::kInt8 ? tensor::softmax(quant_logits(inputs))
-                                        : model_.predict_proba(inputs);
+  return model_.predict_proba(inputs);
 }
 
 namespace {
@@ -187,11 +120,7 @@ ServableModel ServableModel::load(const std::string& path) {
                          ") does not match classifier output dimension (" +
                          std::to_string(model.num_classes()) + ")");
   }
-  ServableModel servable(std::move(model), std::move(names));
-  if (util::env_flag("TAGLETS_SERVE_INT8")) {
-    servable.set_precision(Precision::kInt8);
-  }
-  return servable;
+  return ServableModel(std::move(model), std::move(names));
 }
 
 }  // namespace taglets::ensemble

@@ -8,25 +8,14 @@
 // once (layers cache activations on the instance — see
 // nn/layers.hpp). Concurrent serving uses one replica per thread;
 // serve::Server does exactly that.
-//
-// Precision: serving can run the distilled model with int8-quantized
-// weights (per-row affine, tensor/quant.hpp) — activations stay float32
-// and accuracy loss is bounded by the eval::int8_accuracy_gate check.
-// Select with set_precision(Precision::kInt8) or TAGLETS_SERVE_INT8=1
-// (applied at load()). Training never sees the quantized weights; see
-// docs/PERFORMANCE.md.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "nn/classifier.hpp"
-#include "tensor/quant.hpp"
 
 namespace taglets::ensemble {
-
-/// Numeric precision of the serving forward pass.
-enum class Precision { kFloat32, kInt8 };
 
 class ServableModel {
  public:
@@ -48,38 +37,15 @@ class ServableModel {
   /// calling predict() row by row.
   std::vector<std::size_t> predict_batch(const tensor::Tensor& inputs);
 
-  /// Switch the serving forward pass between float32 and int8. The
-  /// first switch to kInt8 quantizes every Linear weight matrix
-  /// (per-row, tensor/quant.hpp) and caches the quantized program;
-  /// switching back to kFloat32 is free. Throws if the model contains a
-  /// layer kind the quantized path cannot execute.
-  void set_precision(Precision precision);
-  Precision precision() const { return precision_; }
-
   nn::Classifier& model() { return model_; }
   const nn::Classifier& model() const { return model_; }
 
   void save(const std::string& path) const;
-  /// Loads the model; honours TAGLETS_SERVE_INT8=1 by switching the
-  /// loaded instance to Precision::kInt8.
   static ServableModel load(const std::string& path);
 
  private:
-  // One step of the cached int8 forward program (flattened from the
-  // encoder Sequential + head; Dropout is identity at eval and dropped).
-  struct QuantOp {
-    enum class Kind { kLinear, kRelu, kTanh };
-    Kind kind;
-    tensor::QuantizedMatrix weight;  // kLinear only
-    tensor::Tensor bias;             // kLinear only
-  };
-
-  tensor::Tensor quant_logits(const tensor::Tensor& inputs) const;
-
   nn::Classifier model_;
   std::vector<std::string> class_names_;
-  Precision precision_ = Precision::kFloat32;
-  std::vector<QuantOp> quant_ops_;
 };
 
 }  // namespace taglets::ensemble

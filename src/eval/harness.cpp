@@ -8,38 +8,10 @@
 #include "baselines/simclr.hpp"
 #include "ensemble/ensemble.hpp"
 #include "nn/trainer.hpp"
-#include "util/check.hpp"
 #include "util/env.hpp"
 #include "util/logging.hpp"
 
 namespace taglets::eval {
-
-Int8GateResult int8_accuracy_gate(ensemble::ServableModel& model,
-                                  const tensor::Tensor& inputs,
-                                  std::span<const std::size_t> labels,
-                                  double limit_pp) {
-  TAGLETS_CHECK_EQ(inputs.rows(), labels.size(), "int8_accuracy_gate");
-  TAGLETS_CHECK(!labels.empty(), "int8_accuracy_gate: empty eval set");
-  const ensemble::Precision prior = model.precision();
-  auto accuracy_at = [&](ensemble::Precision p) {
-    model.set_precision(p);
-    const auto predicted = model.predict_batch(inputs);
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      if (predicted[i] == labels[i]) ++correct;
-    }
-    return 100.0 * static_cast<double>(correct) /
-           static_cast<double>(labels.size());
-  };
-  Int8GateResult result;
-  result.limit_pp = limit_pp;
-  result.float32_accuracy = accuracy_at(ensemble::Precision::kFloat32);
-  result.int8_accuracy = accuracy_at(ensemble::Precision::kInt8);
-  model.set_precision(prior);
-  result.delta_pp = result.float32_accuracy - result.int8_accuracy;
-  result.pass = result.delta_pp <= limit_pp;
-  return result;
-}
 
 Harness::Harness(Lab& lab, std::size_t seeds, double epoch_scale)
     : lab_(lab),

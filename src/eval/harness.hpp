@@ -6,36 +6,14 @@
 #pragma once
 
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "ensemble/servable.hpp"
 #include "eval/lab.hpp"
 #include "taglets/controller.hpp"
 #include "util/stats.hpp"
 
 namespace taglets::eval {
-
-/// Result of comparing int8 serving accuracy against float32 on a
-/// labelled evaluation set (the gate that must pass before a quantized
-/// model is allowed to serve — see docs/PERFORMANCE.md).
-struct Int8GateResult {
-  double float32_accuracy = 0.0;  ///< % correct at Precision::kFloat32
-  double int8_accuracy = 0.0;     ///< % correct at Precision::kInt8
-  double delta_pp = 0.0;          ///< float32 - int8, percentage points
-  double limit_pp = 0.0;          ///< allowed delta
-  bool pass = false;              ///< delta_pp <= limit_pp
-};
-
-/// Run the model over `inputs` at both precisions and compare accuracy
-/// against `labels`. The model's precision setting is restored before
-/// returning. `limit_pp` is the largest acceptable accuracy drop in
-/// percentage points (int8 beating float32 always passes).
-Int8GateResult int8_accuracy_gate(ensemble::ServableModel& model,
-                                  const tensor::Tensor& inputs,
-                                  std::span<const std::size_t> labels,
-                                  double limit_pp = 1.0);
 
 /// Method identifiers used in the tables.
 inline constexpr const char* kFineTuning = "fine-tuning";

@@ -23,8 +23,6 @@ struct FleetClient::Waiters {
   std::promise<Pong> pong;
   bool reload_armed = false;
   std::promise<ReloadResponse> reload;
-  bool stats_armed = false;
-  std::promise<StatsResponse> stats;
   bool trace_armed = false;
   std::promise<TraceExportResponse> trace;
   bool metrics_armed = false;
@@ -176,36 +174,6 @@ ReloadResponse FleetClient::reload(const std::string& path) {
   return future.get();
 }
 
-std::string FleetClient::stats() {
-  util::MutexLock control(control_mu_);
-  std::future<StatsResponse> future;
-  {
-    util::MutexLock lock(pending_mu_);
-    if (broken_.load(std::memory_order_acquire)) {
-      throw SocketError("connection closed");
-    }
-    waiters_->stats = std::promise<StatsResponse>();
-    future = waiters_->stats.get_future();
-    waiters_->stats_armed = true;
-  }
-  try {
-    send_locked_checked(encode(StatsRequest{}));
-  } catch (const SocketError&) {
-    util::MutexLock lock(pending_mu_);
-    waiters_->stats_armed = false;
-    throw;
-  }
-  if (future.wait_for(ms(config_.io_timeout_ms)) !=
-      std::future_status::ready) {
-    util::MutexLock lock(pending_mu_);
-    if (waiters_->stats_armed) {
-      waiters_->stats_armed = false;
-      throw SocketError("stats reply timeout");
-    }
-  }
-  return future.get().json;
-}
-
 TraceExportResponse FleetClient::trace_export() {
   util::MutexLock control(control_mu_);
   std::future<TraceExportResponse> future;
@@ -311,15 +279,6 @@ void FleetClient::reader_loop() {
           }
           break;
         }
-        case MsgType::kStatsResponse: {
-          const StatsResponse resp = decode_stats_response(*frame);
-          util::MutexLock lock(pending_mu_);
-          if (waiters_->stats_armed) {
-            waiters_->stats_armed = false;
-            waiters_->stats.set_value(resp);
-          }
-          break;
-        }
         case MsgType::kTraceExportResponse: {
           TraceExportResponse resp = decode_trace_export_response(*frame);
           util::MutexLock lock(pending_mu_);
@@ -363,10 +322,6 @@ void FleetClient::fail_all_pending() {
     if (waiters_->reload_armed) {
       waiters_->reload_armed = false;
       waiters_->reload.set_exception(gone);
-    }
-    if (waiters_->stats_armed) {
-      waiters_->stats_armed = false;
-      waiters_->stats.set_exception(gone);
     }
     if (waiters_->trace_armed) {
       waiters_->trace_armed = false;

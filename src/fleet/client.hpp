@@ -5,7 +5,7 @@
 // so responses may resolve out of submission order when the peer is a
 // frontend multiplexing several shards.
 //
-// Control calls (ping / reload / stats) share the connection; they are
+// Control calls (ping / reload / trace / metrics) share the connection; they are
 // serialized against each other but ride alongside in-flight predicts.
 //
 // When the connection breaks, every outstanding future resolves with
@@ -62,8 +62,6 @@ class FleetClient {
   Pong ping();
   /// Ask the peer to hot-swap its model (a frontend broadcasts).
   ReloadResponse reload(const std::string& path);
-  /// Peer stats JSON (shard ServerStats or frontend aggregate).
-  std::string stats();
   /// Pull the peer's span buffers (a frontend answers with every fleet
   /// process's trace, clock-aligned onto its own epoch). Render with
   /// render_chrome_trace(). Throws SocketError on a dead connection.

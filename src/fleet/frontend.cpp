@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -843,47 +842,6 @@ Pong Frontend::make_aggregate_pong(std::uint64_t seq) const {
   return pong;
 }
 
-std::string Frontend::stats_json() const {
-  std::ostringstream os;
-  os << "{\"groups\":[";
-  bool first_group = true;
-  for (const GroupSpec& group : config_.groups) {
-    if (!first_group) os << ",";
-    first_group = false;
-    os << "{\"name\":\"" << group.name << "\",\"on_ring\":"
-       << (([this, &group] {
-            util::MutexLock lock(ring_mu_);
-            return ring_.contains(group.name);
-          }())
-               ? "true"
-               : "false")
-       << ",\"replicas\":[";
-    bool first_replica = true;
-    for (const std::string& ep : group.replicas) {
-      if (!first_replica) os << ",";
-      first_replica = false;
-      const Replica* replica = by_endpoint_.at(ep);
-      os << "{\"endpoint\":\"" << ep << "\",\"state\":\""
-         << health_state_name(replica->tracker.state())
-         << "\",\"model_version\":"
-         << replica->model_version.load(std::memory_order_relaxed)
-         << ",\"queue_depth\":"
-         << replica->queue_depth.load(std::memory_order_relaxed)
-         << ",\"queue_capacity\":"
-         << replica->queue_capacity.load(std::memory_order_relaxed) << "}";
-    }
-    os << "]}";
-  }
-  os << "],\"requests_total\":" << requests_total_->value()
-     << ",\"requests_ok_total\":" << requests_ok_total_->value()
-     << ",\"failovers_total\":" << failovers_total_->value()
-     << ",\"overloaded_total\":" << overloaded_total_->value()
-     << ",\"unavailable_total\":" << unavailable_total_->value()
-     << ",\"evicted_groups_total\":" << evicted_groups_total_->value()
-     << ",\"dead_rejoins_total\":" << dead_rejoins_total_->value() << "}";
-  return os.str();
-}
-
 HealthState Frontend::replica_state(const std::string& endpoint) const {
   const auto it = by_endpoint_.find(endpoint);
   if (it == by_endpoint_.end()) return HealthState::kDead;
@@ -985,14 +943,6 @@ void Frontend::client_reader(std::shared_ptr<ClientConn> client) {
           resp.ok = outcome.ok ? 1 : 0;
           resp.model_version = outcome.model_version;
           resp.message = outcome.message;
-          const std::vector<std::uint8_t> reply = encode(resp);
-          util::MutexLock lock(client->write_mu);
-          client->conn.send_frame(reply, ms(config_.io_timeout_ms));
-          break;
-        }
-        case MsgType::kStatsRequest: {
-          StatsResponse resp;
-          resp.json = stats_json();
           const std::vector<std::uint8_t> reply = encode(resp);
           util::MutexLock lock(client->write_mu);
           client->conn.send_frame(reply, ms(config_.io_timeout_ms));

@@ -21,7 +21,7 @@
 // nothing. With no routable candidate at all the answer is
 // kUnavailable.
 //
-// Control: reload/stats requests from clients fan out to every replica
+// Control: reload requests from clients fan out to every replica
 // over dedicated one-shot connections (they never head-of-line-block
 // the data channels).
 #pragma once
@@ -108,10 +108,6 @@ class Frontend {
   /// swapped; Dead replicas are skipped and reported in the message.
   ReloadOutcome reload_all(const std::string& path);
 
-  /// Aggregate fleet state as JSON (groups, replica health, versions,
-  /// frontend counters).
-  std::string stats_json() const;
-
   /// Pull every reachable shard's span buffer over one-shot control
   /// connections and return it with this process's own, each shard's
   /// clock offset estimated from its export round-trip (ping-RTT
@@ -122,7 +118,7 @@ class Frontend {
   /// Metrics federation: this process's structured registry snapshot
   /// plus one per reachable shard (one-shot control connections), each
   /// annotated with group, endpoint, health state, flap and rejoin
-  /// context — the structured replacement for the opaque stats JSON.
+  /// context.
   MetricsResponse federated_metrics();
 
   /// Health state of one replica endpoint (kDead for unknown names).

@@ -142,6 +142,9 @@ MsgType peek_type(const std::vector<std::uint8_t>& payload) {
       t > static_cast<std::uint8_t>(MsgType::kMetricsResponse)) {
     throw ProtocolError("unknown message type " + std::to_string(t));
   }
+  if (t == 7 || t == 8) {
+    throw ProtocolError("reserved message type " + std::to_string(t));
+  }
   return static_cast<MsgType>(t);
 }
 
@@ -299,33 +302,6 @@ ReloadResponse decode_reload_response(const std::vector<std::uint8_t>& p) {
   m.ok = r.u8();
   m.model_version = r.u64();
   m.message = r.str();
-  r.expect_end();
-  return m;
-}
-
-std::vector<std::uint8_t> encode(const StatsRequest&) {
-  FrameWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kStatsRequest));
-  return w.take();
-}
-
-StatsRequest decode_stats_request(const std::vector<std::uint8_t>& p) {
-  FrameReader r = open(p, MsgType::kStatsRequest);
-  r.expect_end();
-  return StatsRequest{};
-}
-
-std::vector<std::uint8_t> encode(const StatsResponse& m) {
-  FrameWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kStatsResponse));
-  w.str(m.json);
-  return w.take();
-}
-
-StatsResponse decode_stats_response(const std::vector<std::uint8_t>& p) {
-  FrameReader r = open(p, MsgType::kStatsResponse);
-  StatsResponse m;
-  m.json = r.str();
   r.expect_end();
   return m;
 }

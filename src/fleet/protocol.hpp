@@ -45,8 +45,9 @@ enum class MsgType : std::uint8_t {
   kPong = 4,
   kReloadRequest = 5,
   kReloadResponse = 6,
-  kStatsRequest = 7,
-  kStatsResponse = 8,
+  // 7 and 8 are reserved: they carried the retired Stats JSON frames
+  // (superseded by Metrics, 11/12). peek_type rejects them, so every
+  // decoder and dispatch switch raises ProtocolError on them.
   kTraceExportRequest = 9,
   kTraceExportResponse = 10,
   kMetricsRequest = 11,
@@ -124,12 +125,6 @@ struct ReloadResponse {
   std::string message;              // failure reason, or "" on success
 };
 
-struct StatsRequest {};
-
-struct StatsResponse {
-  std::string json;  // shard ServerStats::to_json / frontend aggregate
-};
-
 /// One finished span pulled from a remote process's tracer buffer.
 /// Timestamps are microseconds on the *producer's* tracer epoch; the
 /// collector maps them into its own epoch via ProcessTrace's offset.
@@ -168,8 +163,7 @@ struct TraceExportResponse {
 /// Pull the peer's structured metrics surface. A shard answers with its
 /// own registry snapshot; a frontend answers with its own snapshot plus
 /// one per reachable shard, each labeled and annotated (endpoint,
-/// health, flaps, version) — the metrics-federation counterpart of the
-/// opaque StatsResponse JSON.
+/// health, flaps, version).
 struct MetricsRequest {};
 
 struct MetricsResponse {
@@ -221,7 +215,8 @@ class FrameReader {
   std::size_t pos_ = 0;
 };
 
-/// First byte of a payload; throws on an empty or unknown-typed frame.
+/// First byte of a payload; throws on an empty, unknown-typed, or
+/// reserved-typed (7, 8) frame.
 MsgType peek_type(const std::vector<std::uint8_t>& payload);
 
 std::vector<std::uint8_t> encode(const PredictRequest& m);
@@ -230,8 +225,6 @@ std::vector<std::uint8_t> encode(const Ping& m);
 std::vector<std::uint8_t> encode(const Pong& m);
 std::vector<std::uint8_t> encode(const ReloadRequest& m);
 std::vector<std::uint8_t> encode(const ReloadResponse& m);
-std::vector<std::uint8_t> encode(const StatsRequest& m);
-std::vector<std::uint8_t> encode(const StatsResponse& m);
 std::vector<std::uint8_t> encode(const TraceExportRequest& m);
 std::vector<std::uint8_t> encode(const TraceExportResponse& m);
 std::vector<std::uint8_t> encode(const MetricsRequest& m);
@@ -244,8 +237,6 @@ Ping decode_ping(const std::vector<std::uint8_t>& p);
 Pong decode_pong(const std::vector<std::uint8_t>& p);
 ReloadRequest decode_reload_request(const std::vector<std::uint8_t>& p);
 ReloadResponse decode_reload_response(const std::vector<std::uint8_t>& p);
-StatsRequest decode_stats_request(const std::vector<std::uint8_t>& p);
-StatsResponse decode_stats_response(const std::vector<std::uint8_t>& p);
 TraceExportRequest decode_trace_export_request(
     const std::vector<std::uint8_t>& p);
 TraceExportResponse decode_trace_export_response(

@@ -9,8 +9,6 @@
 #include "fleet/trace_merge.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace taglets::fleet {
 
@@ -41,23 +39,6 @@ constexpr std::chrono::milliseconds kIdleRecvBudget{3'600'000};
 
 }  // namespace
 
-double int8_disagreement_fraction(ensemble::ServableModel& model,
-                                  std::size_t probe_rows) {
-  TAGLETS_CHECK_NE(probe_rows, 0, "int8 probe needs >= 1 row");
-  util::Rng rng(20260807);  // fixed: the gate must be deterministic
-  Tensor probe = Tensor::zeros(probe_rows, model.model().input_dim());
-  for (float& v : probe.data()) v = static_cast<float>(rng.normal());
-  model.set_precision(ensemble::Precision::kFloat32);
-  const std::vector<std::size_t> base = model.predict_batch(probe);
-  model.set_precision(ensemble::Precision::kInt8);
-  const std::vector<std::size_t> quant = model.predict_batch(probe);
-  std::size_t disagree = 0;
-  for (std::size_t i = 0; i < probe_rows; ++i) {
-    if (base[i] != quant[i]) ++disagree;
-  }
-  return static_cast<double>(disagree) / static_cast<double>(probe_rows);
-}
-
 void ShardConfig::validate() const {
   if (endpoint.empty()) {
     throw std::invalid_argument("ShardConfig: endpoint must be set");
@@ -69,18 +50,12 @@ void ShardConfig::validate() const {
     throw std::invalid_argument(
         "ShardConfig: max_inflight_per_connection must be >= 1");
   }
-  if (int8_agree_limit < 0.0 || int8_agree_limit > 1.0) {
-    throw std::invalid_argument("ShardConfig: int8_agree_limit not in [0,1]");
-  }
-  if (int8_probe_rows == 0) {
-    throw std::invalid_argument("ShardConfig: int8_probe_rows must be >= 1");
-  }
   server.validate();
 }
 
 /// Per-connection I/O pair: the reader decodes and dispatches frames,
 /// the writer resolves pipelined predict futures in FIFO order and
-/// sends the responses. Control traffic (ping/reload/stats) is
+/// sends the responses. Control traffic (ping/reload/trace/metrics) is
 /// answered inline by the reader under the shared write lock, so a
 /// heartbeat never queues behind a slow batch.
 struct ShardServer::ConnectionHandler {
@@ -210,12 +185,6 @@ void ShardServer::ConnectionHandler::dispatch(
       resp.ok = out.ok ? 1 : 0;
       resp.model_version = out.model_version;
       resp.message = out.message;
-      send(encode(resp));
-      return;
-    }
-    case MsgType::kStatsRequest: {
-      StatsResponse resp;
-      resp.json = shard->active()->stats().json();
       send(encode(resp));
       return;
     }
@@ -426,17 +395,6 @@ ReloadOutcome ShardServer::reload(const std::string& path) {
                     std::to_string(fresh.model().input_dim()) +
                     " != serving dim " + std::to_string(input_dim_);
       return out;
-    }
-    if (fresh.precision() == ensemble::Precision::kInt8) {
-      const double disagree =
-          int8_disagreement_fraction(fresh, config_.int8_probe_rows);
-      if (disagree > config_.int8_agree_limit) {
-        reload_failures_total_->add();
-        out.message = "reload rejected: int8 agreement gate failed (" +
-                      std::to_string(disagree) + " > " +
-                      std::to_string(config_.int8_agree_limit) + ")";
-        return out;
-      }
     }
     // 2. Start the replacement beside the old server.
     auto next = std::make_shared<serve::Server>(fresh, config_.server);

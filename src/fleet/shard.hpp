@@ -1,6 +1,6 @@
 // One shard of the serving fleet: a socket front over the in-process
 // serve::Server. A shard process owns one listening endpoint and
-// serves three kinds of traffic on any connection:
+// serves these kinds of traffic on any connection:
 //
 //  * predict  — decoded, submitted to the active server, answered from
 //    a per-connection writer thread (requests pipeline: many predicts
@@ -11,11 +11,11 @@
 //    capacity, and outcome counters, so the frontend's health and
 //    saturation decisions ride on real shard state.
 //  * reload   — zero-downtime model swap (see reload() below).
-//  * stats    — the active server's ServerStats JSON.
+//  * trace export and metrics — the observability pulls (docs/FLEET.md).
 //
 // Hot reload sequence (docs/FLEET.md): load + validate the new
-// ServableModel (dimension check; int8 agreement gate when serving
-// quantized), start a replacement serve::Server beside the old one,
+// ServableModel (input-dimension check), start a replacement
+// serve::Server beside the old one,
 // flip the active pointer under a writer lock, then close_and_drain()
 // the old server and adopt() its still-queued requests into the new
 // one. In-flight batches finish on the old model; nothing is dropped.
@@ -43,12 +43,6 @@ struct ShardConfig {
   double io_timeout_ms = 5000.0;
   /// Max predicts in flight per connection before kOverloaded.
   std::size_t max_inflight_per_connection = 256;
-  /// Reload gate when serving int8: max fraction of probe rows whose
-  /// int8 argmax may disagree with float32 (mirrors the 1pp
-  /// eval::int8_accuracy_gate bound, but label-free — the serving
-  /// tier has no labeled data).
-  double int8_agree_limit = 0.01;
-  std::size_t int8_probe_rows = 256;
 
   void validate() const;  // throws std::invalid_argument
 };
@@ -133,11 +127,5 @@ class ShardServer {
   obs::Counter* reload_failures_total_ = nullptr;
   obs::Gauge* model_version_gauge_ = nullptr;
 };
-
-/// Label-free int8 validation used by the reload gate: fraction of
-/// probe rows (deterministic seed) where the int8 argmax disagrees
-/// with float32. Exposed for tests; leaves `model` at Precision::kInt8.
-double int8_disagreement_fraction(ensemble::ServableModel& model,
-                                  std::size_t probe_rows);
 
 }  // namespace taglets::fleet

@@ -9,7 +9,6 @@
 #include "taglets/checkpoint.hpp"
 #include "taglets/task_graph.hpp"
 #include "util/check.hpp"
-#include "util/env.hpp"
 #include "util/fault.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
@@ -20,19 +19,6 @@
 namespace taglets {
 
 using tensor::Tensor;
-
-namespace {
-
-PipelineMode resolve_pipeline_mode(const SystemConfig& config) {
-  if (config.pipeline != PipelineMode::kAuto) return config.pipeline;
-  const std::string env = util::env_string("TAGLETS_PIPELINE", "graph");
-  if (env == "graph") return PipelineMode::kGraph;
-  if (env == "serial") return PipelineMode::kSerial;
-  throw std::invalid_argument("TAGLETS_PIPELINE must be 'serial' or 'graph', got '" +
-                              env + "'");
-}
-
-}  // namespace
 
 Controller::Controller(scads::Scads* scads, backbone::Zoo* zoo,
                        modules::ZslKgEngine* zsl_engine,
@@ -103,62 +89,33 @@ modules::Taglet Controller::train_module(std::size_t index,
 std::vector<modules::Taglet> Controller::train_taglets(
     const synth::FewShotTask& task, const scads::Selection& selection,
     const SystemConfig& config) {
-  return train_taglets(task, selection, config, Checkpoint());
-}
-
-std::vector<modules::Taglet> Controller::train_taglets(
-    const synth::FewShotTask& task, const scads::Selection& selection,
-    const SystemConfig& config, const Checkpoint& checkpoint) {
   TAGLETS_CHECK(!(config.module_names.empty()),
                 "Controller: empty module line-up");
-  const backbone::Pretrained& phi = zoo_->get(config.backbone);
-
   modules::ModuleContext context;
   context.task = &task;
   context.scads = scads_;
   context.selection = &selection;
-  context.backbone = &phi;
+  context.backbone = &zoo_->get(config.backbone);
   context.zsl_engine = zsl_engine_;
   context.train_seed = config.train_seed;
   context.epoch_scale = config.epoch_scale;
 
-  const std::size_t count = config.module_names.size();
-  std::vector<std::optional<modules::Taglet>> slots(count);
-  auto train_one = [&](std::size_t i) {
-    slots[i] = train_module(i, context, config, checkpoint);
-  };
-  if (config.parallel_modules && count > 1) {
-    // Module fan-out goes through the shared process-wide pool; its
-    // nesting-safe parallel_for lets each module's own tensor kernels
-    // parallelize underneath without deadlocking.
-    util::parallel_for(count, train_one);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) train_one(i);
-  }
-
   std::vector<modules::Taglet> taglets;
-  taglets.reserve(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (!slots[i].has_value()) {
-      throw std::runtime_error("Controller: module '" +
-                               config.module_names[i] +
-                               "' finished without producing a taglet");
-    }
-    taglets.push_back(std::move(*slots[i]));
+  taglets.reserve(config.module_names.size());
+  for (std::size_t i = 0; i < config.module_names.size(); ++i) {
+    taglets.push_back(train_module(i, context, config, Checkpoint()));
   }
   return taglets;
 }
 
 SystemResult Controller::run(const synth::FewShotTask& task,
                              const SystemConfig& config) {
-  const PipelineMode mode = resolve_pipeline_mode(config);
   util::Timer timer;
   TAGLETS_TRACE_SCOPE(
       "pipeline.run",
       {{"dataset", task.dataset_name},
        {"classes", std::to_string(task.num_classes())},
-       {"modules", std::to_string(config.module_names.size())},
-       {"pipeline", mode == PipelineMode::kGraph ? "graph" : "serial"}});
+       {"modules", std::to_string(config.module_names.size())}});
   auto& registry = obs::MetricsRegistry::global();
   registry.counter("pipeline.runs_total").add();
 
@@ -173,75 +130,10 @@ SystemResult Controller::run(const synth::FewShotTask& task,
           : Checkpoint(config.checkpoint_dir, config.resume,
                        config_fingerprint(config));
 
-  SystemResult result = mode == PipelineMode::kGraph
-                            ? run_graph(task, config, checkpoint)
-                            : run_serial(task, config, checkpoint);
+  SystemResult result = run_graph(task, config, checkpoint);
   result.train_seconds = timer.elapsed_seconds();
   registry.gauge("pipeline.last_train_seconds").set(result.train_seconds);
   return result;
-}
-
-SystemResult Controller::run_serial(const synth::FewShotTask& task,
-                                    const SystemConfig& config,
-                                    const Checkpoint& checkpoint) {
-  // (1) SCADS selection of task-related auxiliary data.
-  scads::Selection selection;
-  {
-    TAGLETS_TRACE_SCOPE("pipeline.scads_selection");
-    if (checkpoint.has_selection()) {
-      TAGLETS_LOG(kInfo) << "resuming selection from "
-                         << checkpoint.selection_path();
-      selection = checkpoint.load_selection();
-    } else {
-      selection = select(task, config);
-      checkpoint.save_selection(selection);
-    }
-  }
-  util::fault::maybe_fail("pipeline.after_selection");
-  TAGLETS_LOG(kInfo) << "selected " << selection.intermediate_classes()
-                     << " auxiliary concepts, |R| = " << selection.data.size();
-
-  // (2) Module training.
-  std::vector<modules::Taglet> taglets;
-  {
-    TAGLETS_TRACE_SCOPE("pipeline.module_training");
-    taglets = train_taglets(task, selection, config, checkpoint);
-  }
-  util::fault::maybe_fail("pipeline.after_training");
-
-  // (3) Ensemble pseudo labels for the unlabeled pool (Eq. 6).
-  Tensor pseudo;
-  {
-    TAGLETS_TRACE_SCOPE(
-        "pipeline.ensemble_vote",
-        {{"unlabeled", std::to_string(task.unlabeled_inputs.rows())}});
-    if (checkpoint.has_pseudo()) {
-      TAGLETS_LOG(kInfo) << "resuming pseudo labels from "
-                         << checkpoint.pseudo_path();
-      pseudo = checkpoint.load_pseudo();
-    } else {
-      pseudo = task.unlabeled_inputs.rows() > 0
-                   ? ensemble::ensemble_proba(taglets, task.unlabeled_inputs)
-                   : Tensor::zeros(0, task.num_classes());
-      checkpoint.save_pseudo(pseudo);
-    }
-  }
-  util::fault::maybe_fail("pipeline.after_ensemble");
-
-  // (4) Distill into the end model (Eq. 7).
-  util::Rng rng(util::combine_seeds({config.train_seed, 0xE4DULL}));
-  const backbone::Pretrained& phi = zoo_->get(config.backbone);
-  std::optional<nn::Classifier> end_model;
-  {
-    TAGLETS_TRACE_SCOPE("pipeline.distillation");
-    end_model = ensemble::train_end_model(task, pseudo, phi.encoder,
-                                          phi.feature_dim, config.end_model,
-                                          rng, config.epoch_scale);
-  }
-
-  return SystemResult{
-      ensemble::ServableModel(std::move(*end_model), task.class_names),
-      std::move(taglets), std::move(selection), std::move(pseudo), 0.0};
 }
 
 SystemResult Controller::run_graph(const synth::FewShotTask& task,

@@ -5,14 +5,14 @@
 // unlabeled data (Eq. 6), and (4) distills everything into one servable
 // end model (Eq. 7).
 //
-// Two execution plans produce bitwise-identical results: the legacy
-// serial stage sequence, and a task-graph schedule (task_graph.hpp)
-// that overlaps independent work — backbone fetch runs alongside SCADS
+// run() schedules the work as a task graph (task_graph.hpp) that
+// overlaps independent steps — backbone fetch runs alongside SCADS
 // selection, the zero-shot module needs only the engine and graph
 // embeddings so it trains while selection is still running, and the
 // SCADS-consuming modules fan out as soon as selection resolves. Every
-// node re-derives its RNG from config.train_seed, which is what makes
-// the two plans (and any thread count) bit-for-bit interchangeable.
+// node re-derives its RNG from config.train_seed, so any thread count
+// (and the step-by-step composition of select/train_taglets below)
+// gives bit-for-bit identical results.
 #pragma once
 
 #include <memory>
@@ -28,12 +28,6 @@
 
 namespace taglets {
 
-/// How Controller::run schedules the pipeline. kAuto reads the
-/// TAGLETS_PIPELINE environment variable ("serial" | "graph"; default
-/// graph) — the serial plan is the escape hatch that makes serial/graph
-/// A/B verification a test instead of a leap of faith.
-enum class PipelineMode { kAuto, kSerial, kGraph };
-
 struct SystemConfig {
   /// Modules to train, resolved through the registry. Defaults to the
   /// paper's four-module line-up.
@@ -47,9 +41,6 @@ struct SystemConfig {
   std::uint64_t train_seed = 0;
   /// Scales every module's epoch counts (tests use < 1).
   double epoch_scale = 1.0;
-  /// Serial plan only: train modules on a thread pool (results
-  /// identical). The graph plan overlaps modules by construction.
-  bool parallel_modules = false;
   /// When non-empty, Controller::run checkpoints each completed
   /// pipeline node into this directory (crash-safe writes; see
   /// docs/ROBUSTNESS.md).
@@ -58,10 +49,6 @@ struct SystemConfig {
   /// every node re-derives its RNG from train_seed, a resumed run is
   /// bitwise identical to an uninterrupted one.
   bool resume = false;
-  /// Execution plan; deliberately not part of config_fingerprint()
-  /// because both plans produce identical artifacts, so a checkpoint
-  /// directory may be resumed under either.
-  PipelineMode pipeline = PipelineMode::kAuto;
 };
 
 /// One-line fingerprint of everything that determines a run's output;
@@ -95,7 +82,8 @@ class Controller {
   /// Run the full pipeline on a task.
   SystemResult run(const synth::FewShotTask& task, const SystemConfig& config);
 
-  /// Steps exposed individually for ablation studies:
+  /// Steps exposed individually for ablation studies (train_taglets
+  /// trains the line-up one module after another, without checkpoints):
   scads::Selection select(const synth::FewShotTask& task,
                           const SystemConfig& config) const;
   std::vector<modules::Taglet> train_taglets(const synth::FewShotTask& task,
@@ -103,21 +91,13 @@ class Controller {
                                              const SystemConfig& config);
 
  private:
-  SystemResult run_serial(const synth::FewShotTask& task,
-                          const SystemConfig& config,
-                          const Checkpoint& checkpoint);
   SystemResult run_graph(const synth::FewShotTask& task,
                          const SystemConfig& config,
                          const Checkpoint& checkpoint);
 
-  std::vector<modules::Taglet> train_taglets(const synth::FewShotTask& task,
-                                             const scads::Selection& selection,
-                                             const SystemConfig& config,
-                                             const Checkpoint& checkpoint);
-
   /// Checkpoint-aware training of one module slot: loads the slot's
   /// artifact when resuming, otherwise trains and checkpoints it.
-  /// Shared by the serial stage and the graph's module nodes.
+  /// Shared by train_taglets and the graph's module nodes.
   modules::Taglet train_module(std::size_t index,
                                const modules::ModuleContext& context,
                                const SystemConfig& config,

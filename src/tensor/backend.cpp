@@ -14,7 +14,6 @@ std::atomic<const Kernels*> g_active{nullptr};
 
 const Kernels* best_available() {
   if (const Kernels* k = detail::avx2_kernels()) return k;
-  if (const Kernels* k = detail::neon_kernels()) return k;
   return &detail::scalar_kernels();
 }
 
@@ -28,7 +27,7 @@ const Kernels* resolve_from_env() {
   // deployment error; falling back silently would hide it.
   throw std::runtime_error("TAGLETS_TENSOR_BACKEND=" + want +
                            " is unknown or unavailable on this machine "
-                           "(use: scalar | avx2 | neon | native)");
+                           "(use: scalar | avx2 | native)");
 }
 
 }  // namespace
@@ -47,16 +46,12 @@ std::string active_name() { return active().name; }
 std::vector<std::string> available() {
   std::vector<std::string> names{detail::scalar_kernels().name};
   if (const Kernels* k = detail::avx2_kernels()) names.emplace_back(k->name);
-  if (const Kernels* k = detail::neon_kernels()) names.emplace_back(k->name);
   return names;
 }
 
 const Kernels* lookup(const std::string& name) {
   if (name == detail::scalar_kernels().name) return &detail::scalar_kernels();
   if (const Kernels* k = detail::avx2_kernels(); k && name == k->name) {
-    return k;
-  }
-  if (const Kernels* k = detail::neon_kernels(); k && name == k->name) {
     return k;
   }
   return nullptr;

@@ -10,9 +10,9 @@
 //   scalar — bit-for-bit the pre-backend loops; always available.
 //   avx2   — AVX2+FMA x86 kernels, selected at runtime via CPUID
 //            (__builtin_cpu_supports), compiled only on x86.
-//   neon   — NEON kernels, compile-time selected on ARM.
+// Other architectures (ARM included) run scalar.
 //
-// Selection: TAGLETS_TENSOR_BACKEND = scalar | avx2 | neon | native
+// Selection: TAGLETS_TENSOR_BACKEND = scalar | avx2 | native
 // (default native = best available). Requesting an unavailable backend
 // throws std::runtime_error at first use — a misconfigured fleet node
 // must fail loudly, not silently fall back to scalar.
@@ -40,7 +40,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -79,11 +78,6 @@ struct Kernels {
   /// skip rule apply it before calling (identically for all backends).
   void (*axpy)(std::size_t n, float a, const float* x, float* y);
 
-  /// y[j] += a * (float)((int32)q[j] - zero_point) — dequantize-on-
-  /// accumulate over one int8-quantized row (tensor/quant.hpp).
-  void (*axpy_q8)(std::size_t n, float a, const std::int8_t* q,
-                  std::int32_t zero_point, float* y);
-
   /// y[i] += x[i] / y[i] -= x[i] / y[i] *= x[i] / y[i] *= a.
   void (*ew_add)(std::size_t n, const float* x, float* y);
   void (*ew_sub)(std::size_t n, const float* x, float* y);
@@ -100,7 +94,7 @@ struct Kernels {
 /// per row — it is one relaxed atomic load after the first call.
 const Kernels& active();
 
-/// Name of the active backend ("scalar" / "avx2" / "neon").
+/// Name of the active backend ("scalar" / "avx2").
 std::string active_name();
 
 /// Names of the backends usable on this machine (always contains
@@ -116,11 +110,10 @@ const Kernels* lookup(const std::string& name);
 const Kernels* exchange_active(const Kernels* kernels);
 
 namespace detail {
-/// Per-backend tables; avx2/neon return nullptr when the instruction
-/// set is missing at compile or run time.
+/// Per-backend tables; avx2 returns nullptr when the instruction set
+/// is missing at compile or run time.
 const Kernels& scalar_kernels();
 const Kernels* avx2_kernels();
-const Kernels* neon_kernels();
 }  // namespace detail
 
 }  // namespace taglets::tensor::backend

@@ -282,27 +282,6 @@ void axpy(std::size_t n, float a, const float* x, float* y) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
-void axpy_q8(std::size_t n, float a, const std::int8_t* q,
-             std::int32_t zero_point, float* y) {
-  const __m256 va = _mm256_set1_ps(a);
-  const __m256i vzp = _mm256_set1_epi32(zero_point);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m128i raw =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q + j));
-    // (q - zp) is exact in int32 and |q - zp| <= 255 converts exactly
-    // to float, so lanes match the scalar backend bit-for-bit.
-    const __m256i qi = _mm256_sub_epi32(_mm256_cvtepi8_epi32(raw), vzp);
-    const __m256 qf = _mm256_cvtepi32_ps(qi);
-    _mm256_storeu_ps(y + j, _mm256_add_ps(_mm256_loadu_ps(y + j),
-                                          _mm256_mul_ps(va, qf)));
-  }
-  for (; j < n; ++j) {
-    y[j] += a * static_cast<float>(static_cast<std::int32_t>(q[j]) -
-                                   zero_point);
-  }
-}
-
 void ew_add(std::size_t n, const float* x, float* y) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -381,9 +360,8 @@ const Kernels* avx2_kernels() {
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   if (!supported) return nullptr;
   static const Kernels k{
-      "avx2",  gemm_rowblock, gemm_rowblock2, gemm_nt_row, axpy,
-      axpy_q8, ew_add,        ew_sub,         ew_mul,      ew_scale,
-      softmax_row,
+      "avx2", gemm_rowblock, gemm_rowblock2, gemm_nt_row, axpy,
+      ew_add, ew_sub,        ew_mul,         ew_scale,    softmax_row,
   };
   return &k;
 }

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 #include "tensor/backend.hpp"
 
@@ -49,14 +48,6 @@ void axpy(std::size_t n, float a, const float* x, float* y) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
-void axpy_q8(std::size_t n, float a, const std::int8_t* q,
-             std::int32_t zero_point, float* y) {
-  for (std::size_t j = 0; j < n; ++j) {
-    y[j] += a * static_cast<float>(static_cast<std::int32_t>(q[j]) -
-                                   zero_point);
-  }
-}
-
 void ew_add(std::size_t n, const float* x, float* y) {
   for (std::size_t i = 0; i < n; ++i) y[i] += x[i];
 }
@@ -92,8 +83,7 @@ namespace detail {
 const Kernels& scalar_kernels() {
   static const Kernels k{
       "scalar", gemm_rowblock, gemm_rowblock2, gemm_nt_row, axpy,
-      axpy_q8,  ew_add,        ew_sub,         ew_mul,      ew_scale,
-      softmax_row,
+      ew_add,   ew_sub,        ew_mul,         ew_scale,    softmax_row,
   };
   return k;
 }

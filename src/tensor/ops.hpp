@@ -3,7 +3,7 @@
 // cache-blocked loops parallelized over row blocks via util::Parallel
 // (bitwise-identical results at every TAGLETS_THREADS setting); the
 // inner row kernels are dispatched through tensor/backend.hpp
-// (TAGLETS_TENSOR_BACKEND = scalar | avx2 | neon | native) under a
+// (TAGLETS_TENSOR_BACKEND = scalar | avx2 | native) under a
 // bitwise-determinism contract, so results are also identical at every
 // backend setting — see docs/PERFORMANCE.md. All functions validate
 // shapes via TAGLETS_CHECK (throwing util::ContractViolation, see
@@ -25,7 +25,7 @@ namespace taglets::tensor {
 /// builds, TAGLETS_CHECK_FINITE elsewhere). Returns the previous value.
 bool set_finite_checks(bool enabled);
 /// Whether the matmul finiteness guard is currently active (shared by
-/// all kernels with a zero-skip fast path, including matmul_quant).
+/// all kernels with a zero-skip fast path).
 bool finite_checks_enabled();
 
 // ---- matrix products -------------------------------------------------

@@ -1,8 +1,10 @@
 #include "tensor/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace taglets::tensor {
@@ -10,6 +12,8 @@ namespace taglets::tensor {
 namespace {
 
 constexpr char kMagic[4] = {'T', 'G', 'T', '1'};
+// Payload read granularity: 1 MiB of floats.
+constexpr std::size_t kChunkFloats = (std::size_t{1} << 20) / sizeof(float);
 
 template <typename T>
 void write_pod(std::ostream& out, T value) {
@@ -47,11 +51,24 @@ Tensor read_tensor(std::istream& in) {
   const auto rows = read_pod<std::uint64_t>(in);
   const auto cols = read_pod<std::uint64_t>(in);
   if (rank != 1 && rank != 2) throw std::runtime_error("read_tensor: bad rank");
-  const std::size_t count = static_cast<std::size_t>(rows) * cols;
-  std::vector<float> values(count);
-  in.read(reinterpret_cast<char*>(values.data()),
-          static_cast<std::streamsize>(count * sizeof(float)));
-  if (!in) throw std::runtime_error("read_tensor: truncated payload");
+  if (cols != 0 && rows > std::numeric_limits<std::uint64_t>::max() /
+                              sizeof(float) / cols) {
+    throw std::runtime_error("read_tensor: element count overflows");
+  }
+  const std::uint64_t count = rows * cols;
+  // The header is untrusted: read the payload in bounded chunks, so
+  // memory grows only with the bytes actually present and a header that
+  // claims more than the stream holds fails as truncated.
+  std::vector<float> values;
+  while (values.size() < count) {
+    const std::size_t offset = values.size();
+    const std::size_t chunk = static_cast<std::size_t>(
+        std::min<std::uint64_t>(count - offset, kChunkFloats));
+    values.resize(offset + chunk);
+    in.read(reinterpret_cast<char*>(values.data() + offset),
+            static_cast<std::streamsize>(chunk * sizeof(float)));
+    if (!in) throw std::runtime_error("read_tensor: truncated payload");
+  }
   if (rank == 1) {
     if (cols != 1) throw std::runtime_error("read_tensor: rank-1 cols != 1");
     return Tensor::from_vector(std::move(values));

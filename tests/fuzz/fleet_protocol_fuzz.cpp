@@ -103,20 +103,6 @@ void fuzz_one(const std::uint8_t* data, std::size_t size) {
   try {
     check_roundtrip(payload,
                     taglets::fleet::encode(
-                        taglets::fleet::decode_stats_request(payload)),
-                    "StatsRequest");
-  } catch (const ProtocolError&) {
-  }
-  try {
-    check_roundtrip(payload,
-                    taglets::fleet::encode(
-                        taglets::fleet::decode_stats_response(payload)),
-                    "StatsResponse");
-  } catch (const ProtocolError&) {
-  }
-  try {
-    check_roundtrip(payload,
-                    taglets::fleet::encode(
                         taglets::fleet::decode_trace_export_request(payload)),
                     "TraceExportRequest");
   } catch (const ProtocolError&) {
@@ -232,11 +218,13 @@ int write_seeds(const fs::path& dir) {
   reload_resp.message = "";
   write_seed(dir, "reload_response", fleet::encode(reload_resp));
 
-  write_seed(dir, "stats_request", fleet::encode(fleet::StatsRequest{}));
-
-  fleet::StatsResponse stats_resp;
-  stats_resp.json = "{\"requests\":{\"ok\":1000}}";
-  write_seed(dir, "stats_response", fleet::encode(stats_resp));
+  // Types 7 and 8 are reserved (the retired Stats frames); these two
+  // seeds keep their old bytes and now drive the reject path.
+  write_seed(dir, "stats_request", {7});
+  fleet::FrameWriter stats_resp;
+  stats_resp.u8(8);
+  stats_resp.str("{\"requests\":{\"ok\":1000}}");
+  write_seed(dir, "stats_response", stats_resp.take());
 
   write_seed(dir, "trace_export_request",
              fleet::encode(fleet::TraceExportRequest{}));

@@ -3,7 +3,6 @@
 // system-level properties the paper's evaluation rests on.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 #include "ensemble/ensemble.hpp"
 #include "eval/harness.hpp"
@@ -12,6 +11,7 @@
 #include "nn/trainer.hpp"
 #include "taglets/controller.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
 
 namespace taglets {
 namespace {
@@ -72,81 +72,56 @@ TEST(Controller, CustomModuleLineup) {
   EXPECT_EQ(result.taglets[1].name(), "multitask");
 }
 
-TEST(Controller, ParallelModulesMatchSerial) {
-  auto task = taglets::testing::small_task(1);
-  Controller controller(&taglets::testing::small_scads(),
-                        &taglets::testing::small_zoo(), &engine());
-  SystemConfig serial = fast_config(9);
-  SystemConfig parallel = serial;
-  parallel.parallel_modules = true;
-
-  scads::Selection sel = controller.select(task, serial);
-  auto a = controller.train_taglets(task, sel, serial);
-  auto b = controller.train_taglets(task, sel, parallel);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t t = 0; t < a.size(); ++t) {
-    Tensor la = a[t].model().logits(task.test_inputs, false);
-    Tensor lb = b[t].model().logits(task.test_inputs, false);
-    for (std::size_t i = 0; i < la.size(); ++i) {
-      ASSERT_EQ(la.data()[i], lb.data()[i]) << "taglet " << t;
-    }
+void expect_same_bits(const Tensor& a, const Tensor& b, const char* what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.data()[i], b.data()[i]) << what << " element " << i;
   }
 }
 
-TEST(Controller, GraphPlanMatchesSerialBitwise) {
-  // The headline guarantee of the task-graph scheduler: both execution
-  // plans produce the same bits — same end model, same taglets, same
-  // pseudo labels — because every node re-derives its RNG from the
-  // config seed rather than from scheduling order.
+TEST(Controller, RunMatchesStepByStepReference) {
+  // The headline guarantee of the task-graph scheduler: Controller::run
+  // produces the same bits — same taglets, same pseudo labels, same end
+  // model — as composing the steps by hand, one module at a time,
+  // because every node re-derives its RNG from the config seed rather
+  // than from scheduling order.
   auto task = taglets::testing::small_task(/*shots=*/1);
   Controller controller(&taglets::testing::small_scads(),
                         &taglets::testing::small_zoo(), &engine());
-  SystemConfig serial = fast_config(17);
-  serial.epoch_scale = 0.15;
-  serial.pipeline = PipelineMode::kSerial;
-  SystemConfig graph = serial;
-  graph.pipeline = PipelineMode::kGraph;
+  SystemConfig config = fast_config(17);
+  config.epoch_scale = 0.15;
 
-  SystemResult a = controller.run(task, serial);
-  SystemResult b = controller.run(task, graph);
+  SystemResult run = controller.run(task, config);
 
-  ASSERT_EQ(a.taglets.size(), b.taglets.size());
-  for (std::size_t t = 0; t < a.taglets.size(); ++t) {
-    EXPECT_EQ(a.taglets[t].name(), b.taglets[t].name());
-    Tensor la = a.taglets[t].model().logits(task.test_inputs, false);
-    Tensor lb = b.taglets[t].model().logits(task.test_inputs, false);
-    ASSERT_EQ(la.size(), lb.size());
-    for (std::size_t i = 0; i < la.size(); ++i) {
-      ASSERT_EQ(la.data()[i], lb.data()[i]) << "taglet " << t;
-    }
+  const scads::Selection selection = controller.select(task, config);
+  std::vector<modules::Taglet> taglets;
+  for (const std::string& name : config.module_names) {
+    SystemConfig alone = config;
+    alone.module_names = {name};
+    taglets.push_back(
+        std::move(controller.train_taglets(task, selection, alone)[0]));
   }
-  ASSERT_EQ(a.pseudo_labels.size(), b.pseudo_labels.size());
-  for (std::size_t i = 0; i < a.pseudo_labels.size(); ++i) {
-    ASSERT_EQ(a.pseudo_labels.data()[i], b.pseudo_labels.data()[i]);
-  }
-  Tensor ea = a.end_model.model().logits(task.test_inputs, false);
-  Tensor eb = b.end_model.model().logits(task.test_inputs, false);
-  ASSERT_EQ(ea.size(), eb.size());
-  for (std::size_t i = 0; i < ea.size(); ++i) {
-    ASSERT_EQ(ea.data()[i], eb.data()[i]);
-  }
-}
+  const Tensor pseudo =
+      ensemble::ensemble_proba(taglets, task.unlabeled_inputs);
+  const backbone::Pretrained& phi =
+      taglets::testing::small_zoo().get(config.backbone);
+  util::Rng rng(util::combine_seeds({config.train_seed, 0xE4DULL}));
+  nn::Classifier end_model =
+      ensemble::train_end_model(task, pseudo, phi.encoder, phi.feature_dim,
+                                config.end_model, rng, config.epoch_scale);
 
-TEST(Controller, PipelineEnvSelectsPlanAndRejectsGarbage) {
-  auto task = taglets::testing::small_task(/*shots=*/1);
-  Controller controller(&taglets::testing::small_scads(),
-                        &taglets::testing::small_zoo());
-  SystemConfig config = fast_config(19);
-  config.epoch_scale = 0.1;
-  config.module_names = {"transfer"};
-  ASSERT_EQ(setenv("TAGLETS_PIPELINE", "bogus", 1), 0);
-  EXPECT_THROW(controller.run(task, config), std::invalid_argument);
-  ASSERT_EQ(setenv("TAGLETS_PIPELINE", "serial", 1), 0);
-  EXPECT_EQ(controller.run(task, config).taglets.size(), 1u);
-  ASSERT_EQ(unsetenv("TAGLETS_PIPELINE"), 0);
-  // An explicit config mode wins over the environment.
-  config.pipeline = PipelineMode::kGraph;
-  EXPECT_EQ(controller.run(task, config).taglets.size(), 1u);
+  ASSERT_EQ(run.taglets.size(), taglets.size());
+  for (std::size_t t = 0; t < taglets.size(); ++t) {
+    EXPECT_EQ(run.taglets[t].name(), taglets[t].name());
+    expect_same_bits(run.taglets[t].model().logits(task.test_inputs, false),
+                     taglets[t].model().logits(task.test_inputs, false),
+                     "taglet logits");
+  }
+  expect_same_bits(run.pseudo_labels, pseudo, "pseudo labels");
+  expect_same_bits(run.end_model.model().logits(task.test_inputs, false),
+                   end_model.logits(task.test_inputs, false),
+                   "end-model logits");
 }
 
 TEST(Controller, RequiresScadsAndZoo) {

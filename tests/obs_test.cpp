@@ -499,10 +499,6 @@ TEST(Trace, ControllerRunEmitsStageAndModuleSpans) {
   config.train_seed = 5;
   config.epoch_scale = 0.25;
   config.module_names = {"transfer", "prototype"};  // no zsl engine needed
-  // This test pins the serial plan: the stage-barrier span
-  // "pipeline.module_training" only exists there (the graph plan has
-  // per-node spans instead, covered below).
-  config.pipeline = PipelineMode::kSerial;
   const SystemResult result = controller.run(task, config);
   EXPECT_EQ(result.taglets.size(), 2u);
 
@@ -513,7 +509,6 @@ TEST(Trace, ControllerRunEmitsStageAndModuleSpans) {
   };
   EXPECT_EQ(count("pipeline.run"), 1);
   EXPECT_EQ(count("pipeline.scads_selection"), 1);
-  EXPECT_EQ(count("pipeline.module_training"), 1);
   EXPECT_EQ(count("pipeline.ensemble_vote"), 1);
   EXPECT_EQ(count("pipeline.distillation"), 1);
   EXPECT_EQ(count("module.train"), 2);
@@ -553,7 +548,6 @@ TEST(Trace, ControllerGraphRunEmitsPerNodeSpans) {
   config.train_seed = 5;
   config.epoch_scale = 0.25;
   config.module_names = {"transfer", "prototype"};
-  config.pipeline = PipelineMode::kGraph;
   auto& registry = MetricsRegistry::global();
   const std::uint64_t completed_before =
       registry.counter("pipeline.node.completed_total").value();

@@ -333,21 +333,18 @@ TEST(Resume, InjectedCrashThenResumeIsBitwiseIdentical) {
 
 TEST(Resume, KillAtMidDagNodeBoundaryResumesBitwise) {
   // Crash inside the DAG's module fan-out (the 2nd taglet write, so
-  // one module has already been checkpointed) and resume under the
-  // graph plan. The resumed model must match a clean serial run bit
-  // for bit — the strongest cross-plan resume statement we can make.
+  // one module has already been checkpointed) and resume. The resumed
+  // model must match a clean checkpoint-free run bit for bit.
   const auto task = taglets::testing::small_task(/*shots=*/2);
   Controller controller(&taglets::testing::small_scads(),
                         &taglets::testing::small_zoo());
   const fs::path dir = scratch_dir("resume_middag");
 
-  SystemConfig plain = resume_config("");
-  plain.pipeline = PipelineMode::kSerial;
+  const SystemConfig plain = resume_config("");
   const fs::path reference = dir / "reference.bin";
   controller.run(task, plain).end_model.save(reference.string());
 
   SystemConfig config = resume_config((dir / "ckpt").string());
-  config.pipeline = PipelineMode::kGraph;
   {
     FaultSpec spec("checkpoint.taglet:2");
     EXPECT_THROW(controller.run(task, config), FaultInjected);
@@ -369,7 +366,7 @@ TEST(Resume, KillAtMidDagNodeBoundaryResumesBitwise) {
   const fs::path resumed_model = dir / "resumed.bin";
   resumed.end_model.save(resumed_model.string());
   EXPECT_EQ(read_bytes(resumed_model), read_bytes(reference))
-      << "graph-plan resume diverged from the clean serial run";
+      << "resume diverged from the clean run";
 }
 
 TEST(Resume, EffectiveSelectionSeedFingerprintsIdentically) {

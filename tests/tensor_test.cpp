@@ -375,5 +375,37 @@ TEST(Serialize, RejectsBadMagicAndTruncation) {
   EXPECT_THROW(read_tensor(truncated), std::runtime_error);
 }
 
+// A header is untrusted input: its element count must neither overflow
+// nor be allocated before the payload bytes are actually there.
+std::string tensor_header(std::uint32_t rank, std::uint64_t rows,
+                          std::uint64_t cols) {
+  std::string header = "TGT1";
+  header.append(reinterpret_cast<const char*>(&rank), sizeof(rank));
+  header.append(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  header.append(reinterpret_cast<const char*>(&cols), sizeof(cols));
+  return header;
+}
+
+TEST(Serialize, RejectsHugeHeaderWithoutAllocatingIt) {
+  std::stringstream huge(tensor_header(2, std::uint64_t{1} << 60, 1) +
+                         std::string(64, '\0'));
+  EXPECT_THROW(read_tensor(huge), std::runtime_error);
+
+  // rows * cols * sizeof(float) wraps around 2^64.
+  std::stringstream overflow(
+      tensor_header(2, std::uint64_t{1} << 62, 8) + std::string(64, '\0'));
+  EXPECT_THROW(read_tensor(overflow), std::runtime_error);
+}
+
+TEST(Serialize, RoundTripSpansSeveralReadChunks) {
+  util::Rng rng(13);
+  // 2.4 MiB of payload: three 1 MiB read chunks, the last one partial.
+  Tensor t = random_tensor(600, 1000, rng);
+  std::stringstream buffer;
+  write_tensor(buffer, t);
+  Tensor back = read_tensor(buffer);
+  expect_close(back, t, 0.0f);
+}
+
 }  // namespace
 }  // namespace taglets::tensor

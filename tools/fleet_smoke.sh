@@ -93,7 +93,7 @@ $RUN --fleet-connect "unix:$DIR/front.sock" --fleet-predict 500
 sleep 1.5
 echo "[fleet-smoke] hot reload with one shard dead"
 $RUN --fleet-connect "unix:$DIR/front.sock" --fleet-reload "$MODEL"
-$RUN --fleet-connect "unix:$DIR/front.sock" --fleet-stats
+$RUN --fleet-connect "unix:$DIR/front.sock" --fleet-metrics
 $RUN --fleet-connect "unix:$DIR/front.sock" --fleet-predict 200
 
 echo "[fleet-smoke] observability drill (trace merge, federation, console)"

@@ -50,13 +50,9 @@
 //   --serve-deadline-ms  per-request deadline, 0 = none    (default 0)
 //   --serve-json         also print the stats JSON blob
 //
-// Tensor backend / quantized serving (docs/PERFORMANCE.md):
+// Tensor backend (docs/PERFORMANCE.md):
 //   --backend-info       print the active and available tensor SIMD
 //                        backends (TAGLETS_TENSOR_BACKEND) and exit
-//   TAGLETS_SERVE_INT8=1 serve the end model with int8-quantized
-//                        weights; after training, the accuracy-delta
-//                        gate vs float32 runs and a failing gate makes
-//                        the run exit non-zero
 //
 // Serving fleet (docs/FLEET.md) — multi-process sharded serving:
 //   --fleet-shard --load M.bin --fleet-endpoint unix:/tmp/s0.sock
@@ -70,7 +66,6 @@
 //   --fleet-connect EP with one of:
 //     --fleet-ping           print the peer's pong (readiness probe)
 //     --fleet-reload PATH    hot-swap the serving model
-//     --fleet-stats          print the peer's stats JSON
 //     --fleet-predict N      send N pipelined predicts, print outcomes
 //
 // Fleet observability (docs/OBSERVABILITY.md, "Fleet observability"):
@@ -113,14 +108,12 @@
 #include <unordered_map>
 
 #include "baselines/finetune.hpp"
-#include "eval/harness.hpp"
 #include "eval/lab.hpp"
 #include "fleet/client.hpp"
 #include "fleet/frontend.hpp"
 #include "fleet/shard.hpp"
 #include "fleet/trace_merge.hpp"
 #include "tensor/backend.hpp"
-#include "util/env.hpp"
 #include "nn/metrics.hpp"
 #include "nn/trainer.hpp"
 #include "obs/metrics.hpp"
@@ -611,10 +604,6 @@ int run_fleet_client(const util::ArgParser& args) {
               << "\n";
     return resp.ok ? 0 : 1;
   }
-  if (args.get_flag("fleet-stats")) {
-    std::cout << client.stats() << "\n";
-    return 0;
-  }
   if (args.has("fleet-trace-dump")) {
     const std::string path = args.get("fleet-trace-dump", "");
     const fleet::TraceExportResponse resp = client.trace_export();
@@ -667,7 +656,7 @@ int run_fleet_client(const util::ArgParser& args) {
   }
   throw std::invalid_argument(
       "--fleet-connect needs one of --fleet-ping / --fleet-reload / "
-      "--fleet-stats / --fleet-predict / --fleet-trace-dump / "
+      "--fleet-predict / --fleet-trace-dump / "
       "--fleet-metrics / --fleet-top");
 }
 
@@ -701,11 +690,8 @@ int main(int argc, char** argv) {
       ensemble::ServableModel model =
           ensemble::ServableModel::load(args.get("load", ""));
       std::cout << "loaded servable model (" << model.num_classes()
-                << " classes, " << model.parameter_count() << " parameters, "
-                << (model.precision() == ensemble::Precision::kInt8
-                        ? "int8"
-                        : "float32")
-                << " serving)\n";
+                << " classes, " << model.parameter_count()
+                << " parameters)\n";
       if (args.get_flag("serve")) {
         run_serve_load_test(model, nullptr, args);
       }
@@ -780,21 +766,6 @@ int main(int argc, char** argv) {
 
     if (args.get_flag("report")) {
       std::cout << cm.report(task.class_names);
-    }
-
-    if (util::env_flag("TAGLETS_SERVE_INT8")) {
-      // Quantized serving was requested: the accuracy-delta gate must
-      // pass on the test set before the int8 model is allowed out.
-      const auto gate = eval::int8_accuracy_gate(
-          result.end_model, task.test_inputs, task.test_labels);
-      std::cout << "int8 gate: float32=" << gate.float32_accuracy
-                << "% int8=" << gate.int8_accuracy << "% delta="
-                << gate.delta_pp << "pp limit=" << gate.limit_pp << "pp "
-                << (gate.pass ? "PASS" : "FAIL") << "\n";
-      if (!gate.pass) {
-        throw std::runtime_error("int8 accuracy gate failed");
-      }
-      result.end_model.set_precision(ensemble::Precision::kInt8);
     }
 
     if (args.has("save")) {

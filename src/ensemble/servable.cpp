@@ -8,7 +8,6 @@
 #include "tensor/ops.hpp"
 #include "util/atomic_io.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace taglets::ensemble {
 
@@ -22,17 +21,15 @@ ServableModel::ServableModel(nn::Classifier model,
 }
 
 std::vector<std::size_t> ServableModel::predict_batch(const Tensor& inputs) {
-  // One forward pass for the whole batch (the GEMMs inside fan out over
-  // the shared pool), then a row-parallel argmax. Rows are independent,
-  // so the labels match a serial per-row predict() bit for bit.
+  // One forward pass for the whole batch, then a plain per-row argmax:
+  // a row is a few dozen floats, far too little to be worth a
+  // fork-join. Rows are independent, so the labels match a serial
+  // per-row predict() bit for bit.
   Tensor logits = model_.logits(inputs, /*training=*/false);
   std::vector<std::size_t> labels(logits.rows());
-  util::parallel_for_ranges(logits.rows(),
-                            [&](std::size_t begin, std::size_t end) {
-                              for (std::size_t i = begin; i < end; ++i) {
-                                labels[i] = tensor::argmax(logits.row(i));
-                              }
-                            });
+  for (std::size_t i = 0; i < logits.rows(); ++i) {
+    labels[i] = tensor::argmax(logits.row(i));
+  }
   return labels;
 }
 

@@ -32,9 +32,9 @@ class ServableModel {
   const std::string& predict_name(const tensor::Tensor& example);
   /// Batch probabilities.
   tensor::Tensor predict_proba(const tensor::Tensor& inputs);
-  /// Batch class indices. The forward pass and the per-row argmax both
-  /// run on the shared util::Parallel pool; results are identical to
-  /// calling predict() row by row.
+  /// Batch class indices: one forward pass, then a per-row argmax on
+  /// the calling thread. Results are identical to calling predict()
+  /// row by row.
   std::vector<std::size_t> predict_batch(const tensor::Tensor& inputs);
 
   nn::Classifier& model() { return model_; }

@@ -1,6 +1,7 @@
 // Dynamic micro-batching policy: a batch flushes when it reaches
 // max_batch_size or when max_delay_ms has elapsed since its first
-// request was claimed — whichever comes first. Larger batches amortize
+// request was claimed — whichever comes first; one batch fills at a
+// time (RequestQueue::pop_batch). Larger batches amortize
 // per-forward overhead across the GEMM rows; the delay cap bounds the
 // latency cost of waiting for stragglers.
 #pragma once
@@ -20,11 +21,10 @@ struct BatchingPolicy {
   /// delay.
   void validate() const;
 
-  /// The flush delay the server actually uses. When the shared
-  /// util::Parallel pool is serial (TAGLETS_THREADS=1) this is clamped
-  /// to zero: with no intra-batch parallelism to amortize, waiting for
-  /// a fuller batch only adds latency, so the policy falls back to
-  /// flushing whatever is already queued.
+  /// The flush delay the server actually uses: max_delay_ms, clamped
+  /// to zero when the shared util::Parallel pool is serial
+  /// (TAGLETS_THREADS=1), so a worker then flushes whatever is already
+  /// queued instead of waiting for a fuller batch.
   std::chrono::nanoseconds effective_delay() const;
 };
 

@@ -21,23 +21,27 @@ RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity) {
 }
 
 RequestQueue::Push RequestQueue::try_push(Request& request) {
+  bool filling = false;
   {
     util::MutexLock lock(mu_);
     if (closed_) return Push::kClosed;
     if (items_.size() >= capacity_) return Push::kFull;
     items_.push_back(std::move(request));
+    filling = filling_;
   }
-  cv_.notify_one();
+  (filling ? fill_cv_ : cv_).notify_one();
   return Push::kOk;
 }
 
 RequestQueue::Push RequestQueue::force_push(Request& request) {
+  bool filling = false;
   {
     util::MutexLock lock(mu_);
     if (closed_) return Push::kClosed;
     items_.push_back(std::move(request));
+    filling = filling_;
   }
-  cv_.notify_one();
+  (filling ? fill_cv_ : cv_).notify_one();
   return Push::kOk;
 }
 
@@ -52,7 +56,11 @@ std::vector<Request> RequestQueue::pop_batch(
 
   // First request claimed; the flush clock starts now, not at enqueue
   // time, so an idle server answers a lone request after max_delay at
-  // the latest even if nothing else ever arrives.
+  // the latest even if nothing else ever arrives. Until this batch
+  // flushes, every arrival is ours: two half-filled batches would each
+  // wait out max_delay, and a closed-loop client blocked on a request
+  // in one of them would send nothing to fill either.
+  filling_ = true;
   const Clock::time_point flush_at = Clock::now() + max_delay;
   for (;;) {
     while (!items_.empty() && batch.size() < max_batch) {
@@ -62,9 +70,13 @@ std::vector<Request> RequestQueue::pop_batch(
     if (batch.size() >= max_batch || closed_) break;
     if (max_delay <= std::chrono::nanoseconds::zero()) break;
     const bool woke =
-        cv_.wait_until(lock, flush_at, [this] { return pop_ready(); });
+        fill_cv_.wait_until(lock, flush_at, [this] { return fill_ready(); });
     if (!woke) break;  // max_delay elapsed: flush what we have
   }
+  filling_ = false;
+  const bool more = !items_.empty();
+  lock.unlock();
+  if (more) cv_.notify_one();  // the next batch can start at once
   return batch;
 }
 
@@ -74,6 +86,7 @@ void RequestQueue::close() {
     closed_ = true;
   }
   cv_.notify_all();
+  fill_cv_.notify_all();
 }
 
 bool RequestQueue::closed() const {

@@ -104,7 +104,10 @@ class RequestQueue {
   /// least one request is queued or the queue is closed. Once the first
   /// request of a batch is claimed, waits at most `max_delay` for more
   /// before flushing (max_delay == 0 flushes whatever is immediately
-  /// available). Returns empty only when the queue is closed.
+  /// available). One batch fills at a time: a concurrent caller waits
+  /// until the filling batch flushes, so arrivals are never split
+  /// between two partial batches. Returns empty only when the queue is
+  /// closed.
   std::vector<Request> pop_batch(std::size_t max_batch,
                                  std::chrono::nanoseconds max_delay);
 
@@ -120,17 +123,23 @@ class RequestQueue {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  /// Wait predicate; runs with mu_ held by the CondVar machinery,
+  /// Wait predicates; they run with mu_ held by the CondVar machinery,
   /// which the static analysis cannot see.
   bool pop_ready() const TAGLETS_NO_THREAD_SAFETY_ANALYSIS {
+    return closed_ || (!filling_ && !items_.empty());
+  }
+  bool fill_ready() const TAGLETS_NO_THREAD_SAFETY_ANALYSIS {
     return closed_ || !items_.empty();
   }
 
   const std::size_t capacity_;
   mutable util::Mutex mu_{"serve.queue", util::lockrank::kServeQueue};
-  util::CondVar cv_;
+  util::CondVar cv_;       // consumers waiting to start a batch
+  util::CondVar fill_cv_;  // the consumer whose batch is filling
   std::deque<Request> items_ TAGLETS_GUARDED_BY(mu_);
   bool closed_ TAGLETS_GUARDED_BY(mu_) = false;
+  /// A pop_batch call is filling a batch; arrivals wake it via fill_cv_.
+  bool filling_ TAGLETS_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace taglets::serve

@@ -7,6 +7,7 @@
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 
 namespace taglets::serve {
 
@@ -162,6 +163,9 @@ Response Server::predict(Tensor input, double deadline_ms) {
 }
 
 void Server::worker_loop(std::size_t worker_index) {
+  // Parallelism comes from the worker count: each micro-batch forward
+  // runs on this thread, never fanning out over the shared pool.
+  util::InlineScope inline_scope;
   ensemble::ServableModel& model = replicas_[worker_index];
   const std::chrono::nanoseconds delay = config_.batching.effective_delay();
   for (;;) {

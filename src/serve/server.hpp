@@ -2,8 +2,9 @@
 // principle 3: production traffic hits one compact servable classifier,
 // not the taglet ensemble). Single-example requests are coalesced in a
 // bounded submission queue and executed as dynamic micro-batches on
-// ServableModel::predict_proba; the GEMMs inside each forward pass fan
-// out over the shared util::Parallel pool.
+// ServableModel::predict_proba. Each forward pass runs inline on its
+// worker thread (util::InlineScope): throughput scales with the worker
+// count, not with a fork-join per GEMM.
 //
 // Concurrency model: layer forward passes cache activations on the
 // model instance (see nn/layers.hpp), so one ServableModel cannot run

@@ -17,6 +17,9 @@ constexpr std::size_t kChunksPerThread = 4;
 
 std::atomic<Parallel*> g_global_override{nullptr};
 
+/// Set while an InlineScope is alive on this thread.
+thread_local bool t_inline = false;
+
 }  // namespace
 
 /// Shared state of one for_ranges call. Helper tasks hold the Loop via
@@ -117,7 +120,7 @@ void Parallel::run_chunks(const std::shared_ptr<Loop>& loop) {
 void Parallel::for_ranges(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
-  if (threads_ <= 1 || n == 1) {
+  if (threads_ <= 1 || n == 1 || t_inline) {
     fn(0, n);
     return;
   }
@@ -208,6 +211,10 @@ Parallel& Parallel::global() {
 Parallel* Parallel::exchange_global(Parallel* pool) {
   return g_global_override.exchange(pool, std::memory_order_acq_rel);
 }
+
+InlineScope::InlineScope() : prev_(t_inline) { t_inline = true; }
+
+InlineScope::~InlineScope() { t_inline = prev_; }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   Parallel::global().for_each(n, fn);

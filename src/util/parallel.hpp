@@ -1,8 +1,9 @@
-// Process-wide parallel execution layer. TAGLETS is embarrassingly
-// parallel at three granularities — GEMM row blocks, batch rows at
-// inference time, and whole modules during training (Section 3.2) — so
-// every hot path shares one lazily-initialized pool instead of spinning
-// up per-call pools.
+// Process-wide parallel execution layer. Training and evaluation are
+// embarrassingly parallel at two granularities — GEMM row blocks and
+// whole modules (Section 3.2) — so every hot path shares one
+// lazily-initialized pool instead of spinning up per-call pools.
+// Serving parallelizes across requests instead: each serve worker holds
+// an InlineScope, so its micro-batch forward never fans out.
 //
 // Guarantees:
 //  * Thread count comes from TAGLETS_THREADS (0/unset selects
@@ -18,6 +19,9 @@
 //    count); callers that write disjoint outputs per index and keep a
 //    fixed within-chunk order get bitwise-identical results at every
 //    thread count.
+//  * Inline scopes: while an InlineScope is alive on a thread, loops
+//    that thread starts run as one inline chunk, exactly as in serial
+//    mode — so they too give bitwise-identical results.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +48,8 @@ class Parallel {
   /// Configured concurrency (1 means serial inline execution).
   std::size_t threads() const { return threads_; }
 
-  /// Run `fn(begin, end)` over a deterministic partition of [0, n).
+  /// Run `fn(begin, end)` over a deterministic partition of [0, n)
+  /// (one inline `fn(0, n)` in serial mode or under an InlineScope).
   /// Blocks until every chunk has finished; rethrows the first
   /// exception only after all in-flight chunks are joined.
   void for_ranges(std::size_t n,
@@ -88,6 +93,23 @@ class Parallel {
   std::queue<std::function<void()>> queue_ TAGLETS_GUARDED_BY(mu_);
   CondVar cv_;
   bool stopping_ TAGLETS_GUARDED_BY(mu_) = false;
+};
+
+/// RAII: while alive, every for_ranges/for_each the current thread
+/// starts runs `fn(0, n)` inline on that thread, on any pool. Scopes
+/// nest; destruction restores the enclosing state. Serve workers hold
+/// one for their lifetime: their parallelism is the worker count, and a
+/// fork-join per micro-batch GEMM costs more than the arithmetic.
+class InlineScope {
+ public:
+  InlineScope();
+  ~InlineScope();
+
+  InlineScope(const InlineScope&) = delete;
+  InlineScope& operator=(const InlineScope&) = delete;
+
+ private:
+  bool prev_;
 };
 
 /// Convenience wrappers over Parallel::global().

@@ -1,16 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <thread>
 #include <vector>
 
 #include "nn/sequential.hpp"
+#include "obs/trace.hpp"
 #include "serve/batching_policy.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"
 #include "serve/server_stats.hpp"
+#include "tensor/ops.hpp"
 #include "util/parallel.hpp"
 
 namespace taglets::serve {
@@ -153,6 +157,39 @@ TEST(RequestQueue, BlockedConsumerWokenByPush) {
   auto batch = consumer.get();
   ASSERT_GE(batch.size(), 1u);
   for (auto& item : batch) item.promise.set_value(Response{});
+}
+
+// One batch fills at a time: arrivals go to the batch already claimed,
+// which flushes the moment it is full, instead of a second consumer
+// taking some of them and both batches waiting out their delay.
+TEST(RequestQueue, SecondConsumerWaitsWhileABatchFills) {
+  RequestQueue queue(8);
+  Request first = make_request(2);
+  ASSERT_EQ(queue.try_push(first), RequestQueue::Push::kOk);
+  auto filling = std::async(std::launch::async, [&] {
+    return queue.pop_batch(4, std::chrono::seconds(2));
+  });
+  while (queue.size() != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto second = std::async(std::launch::async, [&] {
+    return queue.pop_batch(4, std::chrono::seconds(2));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto start = Clock::now();
+  for (int i = 0; i < 3; ++i) {
+    Request r = make_request(2);
+    ASSERT_EQ(queue.try_push(r), RequestQueue::Push::kOk);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  auto batch = filling.get();
+  EXPECT_EQ(batch.size(), 4u);
+  EXPECT_LT(std::chrono::duration<double>(Clock::now() - start).count(), 1.0);
+  queue.close();
+  auto rest = second.get();
+  EXPECT_TRUE(rest.empty());
+  for (auto& r : batch) r.promise.set_value(Response{});
+  for (auto& r : rest) r.promise.set_value(Response{});
 }
 
 TEST(RequestQueue, ZeroCapacityThrows) {
@@ -309,6 +346,67 @@ TEST(Server, ConcurrentClientsMatchReferencePredictions) {
   EXPECT_EQ(s.resolved(), s.submitted);
   EXPECT_GE(s.batches, 1u);
   EXPECT_GE(s.mean_batch_size, 1.0);
+}
+
+std::size_t count_spans(const std::vector<obs::TraceEvent>& events,
+                        const std::string& name) {
+  std::size_t n = 0;
+  for (const obs::TraceEvent& e : events) n += e.name == name ? 1 : 0;
+  return n;
+}
+
+// Serve workers run each micro-batch inline: even on a 4-thread global
+// pool a served batch makes no fork-join, and every label and
+// confidence is bitwise what the pooled predict_proba gives the same
+// rows.
+TEST(Server, ForwardRunsInlineAndMatchesPooledProbaBitwise) {
+  constexpr std::size_t kDim = 32, kRows = 16;
+  util::Parallel pool(4);
+  util::Parallel* prev_pool = util::Parallel::exchange_global(&pool);
+  const bool was_tracing = obs::trace_enabled();
+  obs::Tracer::global().clear();
+  obs::set_trace_enabled(true);
+
+  auto model = make_mlp_servable(kDim, 64, 8);
+  util::Rng rng(23);
+  Tensor rows = Tensor::zeros(kRows, kDim);
+  for (float& v : rows.data()) v = static_cast<float>(rng.normal());
+  ensemble::ServableModel reference = model;
+  const Tensor expected = reference.predict_proba(rows);
+  // The same forward off a serve worker does fan out over the pool.
+  EXPECT_GT(count_spans(obs::Tracer::global().snapshot(),
+                        "parallel.for_ranges"),
+            0u);
+  obs::Tracer::global().clear();
+
+  ServerConfig config;
+  config.workers = 1;
+  config.batching.max_batch_size = kRows;
+  Server server(model, config);  // not started: all rows form one batch
+  std::vector<std::future<Response>> futures;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    futures.push_back(server.submit(rows.row_copy(i)));
+  }
+  server.start();
+  std::vector<Response> responses;
+  for (auto& f : futures) responses.push_back(f.get());
+  server.stop();
+  const std::vector<obs::TraceEvent> events = obs::Tracer::global().snapshot();
+  obs::set_trace_enabled(was_tracing);
+  obs::Tracer::global().clear();
+  util::Parallel::exchange_global(prev_pool);
+
+  EXPECT_EQ(count_spans(events, "serve.forward"), 1u);
+  EXPECT_EQ(count_spans(events, "parallel.for_ranges"), 0u);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(responses[i].ok()) << status_name(responses[i].status);
+    EXPECT_EQ(responses[i].batch_size, kRows);
+    const std::size_t label = tensor::argmax(expected.row(i));
+    EXPECT_EQ(responses[i].label, label) << "row " << i;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(responses[i].confidence),
+              std::bit_cast<std::uint32_t>(expected.at(i, label)))
+        << "row " << i;
+  }
 }
 
 TEST(Server, QueueFullShedsLoadWithoutBlocking) {

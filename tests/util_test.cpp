@@ -24,7 +24,6 @@
 #include "util/stats.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace taglets::util {
@@ -354,51 +353,6 @@ TEST(Timer, MeasuresElapsedTime) {
   EXPECT_GE(timer.elapsed_ms(), 0.0);
 }
 
-// ---------------------------------------------------------- threadpool
-
-TEST(ThreadPool, ParallelForRunsEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(64);
-  pool.parallel_for(64, [&](std::size_t i) { counts[i]++; });
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-}
-
-TEST(ThreadPool, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 7 * 6; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForJoinsAllTasksBeforeRethrowing) {
-  ThreadPool pool(4);
-  std::atomic<int> entered{0};
-  std::atomic<int> exited{0};
-  // Early throwers used to make parallel_for return while later queued
-  // tasks still referenced `fn` and these counters — a use-after-scope.
-  // The fixed version runs every task to completion first.
-  EXPECT_THROW(
-      pool.parallel_for(64,
-                        [&](std::size_t i) {
-                          entered++;
-                          if (i % 8 == 0) {
-                            exited++;
-                            throw std::runtime_error("boom");
-                          }
-                          std::this_thread::sleep_for(
-                              std::chrono::microseconds(200));
-                          exited++;
-                        }),
-      std::runtime_error);
-  EXPECT_EQ(entered.load(), 64);
-  EXPECT_EQ(exited.load(), 64);
-}
-
 // ---------------------------------------------------------- parallel
 
 /// Temporarily redirect Parallel::global() at a specific pool.
@@ -527,6 +481,46 @@ TEST(Parallel, NestedThrowPropagatesWithoutDeadlock) {
                                });
                              }),
                std::runtime_error);
+}
+
+/// The threads that ran a 64-index loop on the global pool. A range
+/// smaller than the whole loop waits (up to 10 s) for a second range to
+/// start, so a loop that can fan out always does.
+std::set<std::thread::id> loop_threads() {
+  constexpr std::size_t kN = 64;
+  std::vector<std::thread::id> ids(kN);
+  std::atomic<int> ranges{0};
+  parallel_for_ranges(kN, [&](std::size_t begin, std::size_t end) {
+    ranges++;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (end - begin < kN && ranges.load() < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      ids[i] = std::this_thread::get_id();
+    }
+  });
+  return {ids.begin(), ids.end()};
+}
+
+TEST(Parallel, InlineScopeRunsLoopsOnCallerThreadAndNests) {
+  Parallel pool(4);
+  GlobalParallelOverride guard(&pool);
+  const std::set<std::thread::id> caller = {std::this_thread::get_id()};
+  EXPECT_GE(loop_threads().size(), 2u);
+  {
+    InlineScope outer;
+    EXPECT_EQ(loop_threads(), caller);
+    {
+      InlineScope inner;
+      EXPECT_EQ(loop_threads(), caller);
+    }
+    // The inner scope's end restores the outer one: still inline.
+    EXPECT_EQ(loop_threads(), caller);
+  }
+  EXPECT_GE(loop_threads().size(), 2u);
 }
 
 TEST(Parallel, MatmulBitwiseIdenticalSerialVsParallel) {

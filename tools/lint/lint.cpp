@@ -32,7 +32,7 @@ const std::vector<Rule>& rules() {
        {}},
       {"naked-thread",
        "no std::thread/std::jthread outside util/ — concurrency goes "
-       "through util::Parallel / util::ThreadPool",
+       "through util::Parallel",
        {{"serve/server.hpp",
          "the server owns its worker threads by design (drain/shutdown "
          "semantics need raw join control)"},
@@ -340,9 +340,9 @@ void Linter::check_naked_thread(const SourceFile& f,
     for (std::size_t off : find_token(f.code, token, /*call_only=*/false)) {
       out.push_back({f.rel, line_of_offset(f.code, off), "naked-thread",
                      "uses " + token + " outside util/",
-                     "run the work through util::Parallel / "
-                     "util::ThreadPool, or allowlist this file in "
-                     "tools/lint/lint.cpp with a justification"});
+                     "run the work through util::Parallel, or "
+                     "allowlist this file in tools/lint/lint.cpp with a "
+                     "justification"});
     }
   }
 }

@@ -571,8 +571,9 @@ int run_fleet_top(fleet::FleetClient& client, const util::ArgParser& args) {
     }
     std::cout << "[fleet-top] " << resp.snapshots.size()
               << " processes, refresh " << interval_ms << "ms, round "
-              << (round + 1) << (iters > 0 ? "/" + std::to_string(iters) : "")
-              << "\n";
+              << (round + 1);
+    if (iters > 0) std::cout << "/" << iters;
+    std::cout << "\n";
     render_fleet_top(resp, round == 0 ? 0.0 : dt, prev_ok);
   }
   return 0;

@@ -160,30 +160,74 @@ void BM_MatmulBackendNative(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulBackendNative)->Arg(128)->Arg(256)->Arg(512);
 
-void run_matmul_nt_backend(benchmark::State& state,
-                           const tensor::backend::Kernels* kernels) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
+// Linear::backward's products on the RN50-S encoder (pixels 64 -> 160
+// -> 32) at batch 128. matmul_nt forms dx = g * W^T: 128x160 * (64x160)^T
+// and 128x32 * (160x32)^T. matmul_tn forms dW = x^T * g: (128x64)^T *
+// 128x160 and (128x160)^T * 128x32. The benchmark argument indexes the
+// shape; items_per_second is FLOP/s.
+struct BackwardShape {
+  std::size_t a_rows, a_cols, b_rows, b_cols;
+  const char* label;
+};
+constexpr BackwardShape kNtShapes[] = {
+    {128, 160, 64, 160, "128x160*(64x160)^T"},
+    {128, 32, 160, 32, "128x32*(160x32)^T"}};
+constexpr BackwardShape kTnShapes[] = {
+    {128, 64, 128, 160, "(128x64)^T*128x160"},
+    {128, 160, 128, 32, "(128x160)^T*128x32"}};
+
+using Product = tensor::Tensor (*)(const tensor::Tensor&,
+                                   const tensor::Tensor&);
+
+/// `inner` is the shared dimension each output element sums over.
+void run_backward_gemm(benchmark::State& state, Product product,
+                       const BackwardShape& shape, std::size_t inner,
+                       const tensor::backend::Kernels* kernels) {
   util::Parallel pool(1);
   BenchParallelOverride pool_guard(&pool);
   BenchBackendOverride backend_guard(kernels);
-  tensor::Tensor a = bench_random_matrix(n, n, 5);
-  tensor::Tensor b = bench_random_matrix(n, n, 6);
+  tensor::Tensor a = bench_random_matrix(shape.a_rows, shape.a_cols, 5);
+  tensor::Tensor b = bench_random_matrix(shape.b_rows, shape.b_cols, 6);
+  const std::size_t outputs = product(a, b).size();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::matmul_nt(a, b));
+    benchmark::DoNotOptimize(product(a, b));
   }
+  state.SetLabel(shape.label);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * n * n * n));
+                          static_cast<std::int64_t>(2 * outputs * inner));
+}
+
+void run_matmul_nt(benchmark::State& state,
+                   const tensor::backend::Kernels* kernels) {
+  const BackwardShape& shape = kNtShapes[state.range(0)];
+  run_backward_gemm(state, tensor::matmul_nt, shape, shape.a_cols, kernels);
+}
+
+void run_matmul_tn(benchmark::State& state,
+                   const tensor::backend::Kernels* kernels) {
+  const BackwardShape& shape = kTnShapes[state.range(0)];
+  run_backward_gemm(state, tensor::matmul_tn, shape, shape.a_rows, kernels);
 }
 
 void BM_MatmulNtBackendScalar(benchmark::State& state) {
-  run_matmul_nt_backend(state, tensor::backend::lookup("scalar"));
+  run_matmul_nt(state, tensor::backend::lookup("scalar"));
 }
-BENCHMARK(BM_MatmulNtBackendScalar)->Arg(128)->Arg(256);
+BENCHMARK(BM_MatmulNtBackendScalar)->Arg(0)->Arg(1);
 
 void BM_MatmulNtBackendNative(benchmark::State& state) {
-  run_matmul_nt_backend(state, nullptr);
+  run_matmul_nt(state, nullptr);
 }
-BENCHMARK(BM_MatmulNtBackendNative)->Arg(128)->Arg(256);
+BENCHMARK(BM_MatmulNtBackendNative)->Arg(0)->Arg(1);
+
+void BM_MatmulTnBackendScalar(benchmark::State& state) {
+  run_matmul_tn(state, tensor::backend::lookup("scalar"));
+}
+BENCHMARK(BM_MatmulTnBackendScalar)->Arg(0)->Arg(1);
+
+void BM_MatmulTnBackendNative(benchmark::State& state) {
+  run_matmul_tn(state, nullptr);
+}
+BENCHMARK(BM_MatmulTnBackendNative)->Arg(0)->Arg(1);
 
 void run_softmax_backend(benchmark::State& state,
                          const tensor::backend::Kernels* kernels) {

@@ -70,7 +70,14 @@ ReferenceHead train_reference_head(const synth::World& world,
   Dataset corpus =
       world.make_auxiliary_corpus(concepts, config.images_per_class, rng);
 
-  nn::Classifier model(backbone.encoder, backbone.feature_dim,
+  // The encoder is frozen, so its features are computed once and the
+  // head trains on the cached rows. Encoder rows are independent (and
+  // the pretrained encoder has no dropout), so every batch sees the bits
+  // a per-batch encoder forward would give; the RNG draws (head init,
+  // then the batch shuffles) keep their order.
+  nn::Sequential encoder = backbone.encoder;  // forward() caches state
+  const Tensor features = encoder.forward(corpus.inputs, /*training=*/false);
+  nn::Classifier model(nn::Sequential(), backbone.feature_dim,
                        corpus.num_classes(), rng);
   nn::FitConfig fit;
   fit.epochs = config.epochs + 2;  // the frozen-encoder head trains fast
@@ -79,7 +86,7 @@ ReferenceHead train_reference_head(const synth::World& world,
   fit.optimizer = nn::FitConfig::Opt::kSgd;
   fit.sgd.lr = 0.05;
   fit.sgd.momentum = config.momentum;
-  nn::fit_hard(model, corpus.inputs, corpus.labels, fit, rng);
+  nn::fit_hard(model, features, corpus.labels, fit, rng);
 
   ReferenceHead head;
   head.concepts.assign(concepts.begin(), concepts.end());

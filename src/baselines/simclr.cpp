@@ -133,7 +133,7 @@ nn::Classifier SimClr::train(const synth::FewShotTask& task,
       }
       Tensor feats = encoder.forward(both, /*training=*/true);
       auto contrastive = nt_xent(feats, config_.temperature);
-      encoder.backward(contrastive.grad_features);
+      encoder.backward_params(contrastive.grad_features);
       optimizer.step();
     }
   }

@@ -70,8 +70,7 @@ Taglet MultiTaskModule::train(const ModuleContext& context) const {
         Tensor features = encoder.forward(x, /*training=*/true);
         Tensor logits = target_head.forward(features, true);
         auto loss = nn::cross_entropy(logits, y);
-        Tensor grad_features = target_head.backward(loss.grad_logits);
-        encoder.backward(grad_features);
+        encoder.backward_params(target_head.backward(loss.grad_logits));
       }
 
       // Auxiliary loss on the driver batch, scaled by lambda (Eq. 5).
@@ -86,8 +85,7 @@ Taglet MultiTaskModule::train(const ModuleContext& context) const {
         auto loss = nn::cross_entropy(logits, y);
         Tensor scaled =
             tensor::scale(loss.grad_logits, static_cast<float>(config_.lambda));
-        Tensor grad_features = aux_head.backward(scaled);
-        encoder.backward(grad_features);
+        encoder.backward_params(aux_head.backward(scaled));
       }
 
       optimizer.step();

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
-#include "util/check.hpp"
 
 namespace taglets::nn {
 
@@ -58,8 +57,11 @@ std::vector<std::size_t> Classifier::predict(const Tensor& inputs) {
 }
 
 void Classifier::backward(const Tensor& grad_logits) {
-  Tensor grad_features = head_->backward(grad_logits);
-  if (!encoder_frozen_) encoder_.backward(grad_features);
+  if (encoder_frozen_) {
+    head_->backward_params(grad_logits);
+  } else {
+    encoder_.backward_params(head_->backward(grad_logits));
+  }
 }
 
 std::vector<Parameter*> Classifier::parameters() {
@@ -73,15 +75,6 @@ std::vector<Parameter*> Classifier::parameters() {
 void Classifier::zero_grad() {
   encoder_.zero_grad();
   for (Parameter* p : head_->parameters()) p->zero_grad();
-}
-
-void Classifier::replace_head(Linear head) {
-  // The new head's input width must match the encoder output; validated
-  // lazily at the first forward if the encoder is opaque, but we can
-  // check against the old head immediately.
-  TAGLETS_CHECK_EQ(head.in_features(), head_->in_features(),
-                   "replace_head: feature width mismatch");
-  head_ = std::make_unique<Linear>(std::move(head));
 }
 
 std::size_t Classifier::parameter_count() {

@@ -44,7 +44,10 @@ class Classifier {
   std::vector<std::size_t> predict(const tensor::Tensor& inputs);
 
   /// Backprop a dL/dlogits gradient through head and (unless frozen)
-  /// encoder. Must follow a matching logits(..., training) call.
+  /// encoder. Must follow a matching logits(..., training) call. The
+  /// gradient of the inputs is never formed: with the encoder frozen the
+  /// head stops at its parameters, otherwise the encoder's first layer
+  /// does (Layer::backward_params).
   void backward(const tensor::Tensor& grad_logits);
 
   /// Trainable parameters; encoder excluded when frozen.
@@ -58,8 +61,6 @@ class Classifier {
   const Sequential& encoder() const { return encoder_; }
   Linear& head() { return *head_; }
   const Linear& head() const { return *head_; }
-  /// Swap in a new head (must match the encoder's feature width).
-  void replace_head(Linear head);
 
   /// Number of trainable scalars; the "servable size" the distillation
   /// stage is meant to bound.

@@ -32,11 +32,15 @@ Tensor Linear::forward(const Tensor& input, bool /*training*/) {
 
 Tensor Linear::backward(const Tensor& grad_output) {
   // dW += x^T g ; db += column sums of g ; dx = g W^T.
+  backward_params(grad_output);
+  return tensor::matmul_nt(grad_output, weight_.value);
+}
+
+void Linear::backward_params(const Tensor& grad_output) {
   Tensor dw = tensor::matmul_tn(cached_input_, grad_output);
   tensor::add_scaled_inplace(weight_.grad, dw, 1.0f);
   Tensor db = tensor::column_sums(grad_output);
   tensor::add_scaled_inplace(bias_.grad, db, 1.0f);
-  return tensor::matmul_nt(grad_output, weight_.value);
 }
 
 std::unique_ptr<Layer> Linear::clone() const {

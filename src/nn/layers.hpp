@@ -2,6 +2,10 @@
 // it needs during forward() and consumes it in the next backward();
 // forward/backward calls therefore come in matched pairs (standard
 // single-stream training, which is all the TAGLETS pipeline needs).
+// backward_params() is the variant for a layer whose input is data
+// rather than another layer's output: it accumulates the same parameter
+// gradients but skips dL/d(input), which nobody reads there (for Linear
+// that is the whole g * W^T product).
 #pragma once
 
 #include <memory>
@@ -38,6 +42,13 @@ class Layer {
   /// returns dL/d(input). Must be called after a matching forward().
   virtual tensor::Tensor backward(const tensor::Tensor& grad_output) = 0;
 
+  /// Backprop for parameter gradients only: accumulates exactly what
+  /// backward() does, bit for bit, without returning dL/d(input). The
+  /// default runs backward() and drops its result.
+  virtual void backward_params(const tensor::Tensor& grad_output) {
+    backward(grad_output);
+  }
+
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Parameter*> parameters() { return {}; }
 
@@ -55,6 +66,8 @@ class Linear : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  /// dW and db only: skips the dx = g * W^T product.
+  void backward_params(const tensor::Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "Linear"; }

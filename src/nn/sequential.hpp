@@ -26,6 +26,9 @@ class Sequential : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
+  /// Backprops through layers n-1..1, then calls backward_params on
+  /// layer 0: the input gradient is never formed.
+  void backward_params(const tensor::Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "Sequential"; }

@@ -31,10 +31,12 @@
 //     the skip test), so even NaN/Inf columns in B are dropped or
 //     propagated identically (see the TAGLETS_CHECK_FINITE guard in
 //     ops.cpp for why skipping can drop 0*NaN at all);
-//   * gemm_nt_row accumulates each output element in double in
-//     ascending-p order; SIMD lanes are distinct output columns and use
-//     double FMA, which is bitwise-equal to the scalar mul-then-add
-//     because the product of two floats is exact in double;
+//   * gemm_nt2 accumulates each output element in double in
+//     ascending-p order, reading B^T (pre-transposed by the caller, so
+//     every B access is contiguous); SIMD lanes are distinct output
+//     columns and use double FMA, which is bitwise-equal to the scalar
+//     mul-then-add because the product of two floats is exact in
+//     double;
 //   * softmax_row keeps std::exp and the double sum scalar (vectorizing
 //     only the max reduction and the final scale, both lane-exact).
 #pragma once
@@ -68,11 +70,15 @@ struct Kernels {
                          std::size_t ldb, std::size_t n, float* crow0,
                          float* crow1);
 
-  /// crow[j] = (float)(sum over p in [0, k) of
-  /// (double)arow[p] * (double)b[j*ldb + p]) for j in [0, n_rows_b) —
-  /// one output row of C = A * B^T.
-  void (*gemm_nt_row)(const float* arow, const float* b, std::size_t ldb,
-                      std::size_t n_rows_b, std::size_t k, float* crow);
+  /// Two output rows of C = A * B^T, given B^T (k x n, row stride
+  /// ldb): crowR[j] = (float)(sum over p in [0, k) of
+  /// (double)arowR[p] * (double)bt[p*ldb + j]) for j in [0, n) and
+  /// R in {0, 1}, accumulating in ascending-p order per element with no
+  /// zero-skip. arow1/crow1 may alias arow0/crow0 (an odd last row):
+  /// the kernel only stores to C, never reads it.
+  void (*gemm_nt2)(const float* arow0, const float* arow1, std::size_t k,
+                   const float* bt, std::size_t ldb, std::size_t n,
+                   float* crow0, float* crow1);
 
   /// y[i] += a * x[i]. No zero-skip: callers that want the matmul
   /// skip rule apply it before calling (identically for all backends).

@@ -10,9 +10,9 @@
 //    so each lane performs exactly the scalar op sequence;
 //  * the zero-skip test in gemm_rowblock stays a scalar branch on
 //    arow[p], identical to the scalar backend's decision;
-//  * gemm_nt_row may use double FMA: the product of two floats is
-//    exact in double (48 < 53 significand bits), so fmadd rounds once
-//    exactly like the scalar mul-then-add;
+//  * gemm_nt2 may use double FMA: the product of two floats is exact
+//    in double (48 < 53 significand bits), so fmadd rounds once exactly
+//    like the scalar mul-then-add;
 //  * softmax_row vectorizes only the max reduction and the final scale
 //    (max is order-insensitive for finite floats up to the sign of
 //    zero, and exp(+0.0f) == exp(-0.0f) == 1.0f makes that harmless);
@@ -32,7 +32,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <climits>
 #include <cmath>
 
 namespace taglets::tensor::backend {
@@ -234,40 +233,57 @@ void gemm_rowblock2(const float* arow0, const float* arow1, std::size_t k0,
   }
 }
 
-void gemm_nt_row(const float* arow, const float* b, std::size_t ldb,
-                 std::size_t n_rows_b, std::size_t k, float* crow) {
+void gemm_nt2(const float* arow0, const float* arow1, std::size_t k,
+              const float* bt, std::size_t ldb, std::size_t n, float* crow0,
+              float* crow1) {
   std::size_t j = 0;
-  // Lanes are distinct output columns (rows of B); each lane walks p
-  // serially, so per-element order matches the scalar backend. Gather
-  // indices are int32: fall back to the scalar loop for absurd strides.
-  if (ldb <= static_cast<std::size_t>(INT_MAX / 4)) {
-    const int ld = static_cast<int>(ldb);
-    const __m128i idx = _mm_setr_epi32(0, ld, 2 * ld, 3 * ld);
-    // Two accumulator quads per pass to break the FMA latency chain.
-    for (; j + 8 <= n_rows_b; j += 8) {
-      const float* b0 = b + j * ldb;
-      const float* b1 = b + (j + 4) * ldb;
-      __m256d s0 = _mm256_setzero_pd();
-      __m256d s1 = _mm256_setzero_pd();
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256d ap = _mm256_set1_pd(static_cast<double>(arow[p]));
-        const __m128 v0 = _mm_i32gather_ps(b0 + p, idx, 4);
-        const __m128 v1 = _mm_i32gather_ps(b1 + p, idx, 4);
-        // Exact-product double FMA == scalar mul-then-add (see header).
-        s0 = _mm256_fmadd_pd(ap, _mm256_cvtps_pd(v0), s0);
-        s1 = _mm256_fmadd_pd(ap, _mm256_cvtps_pd(v1), s1);
-      }
-      _mm_storeu_ps(crow + j, _mm256_cvtpd_ps(s0));
-      _mm_storeu_ps(crow + j + 4, _mm256_cvtpd_ps(s1));
+  // 16-column strips over two C rows: eight double accumulator chains
+  // (2 rows x 4 quads) stay in registers across all of k, and each
+  // contiguous B^T strip, widened once, feeds both rows. Lanes are
+  // distinct output columns and walk p serially, so the per-element
+  // order matches the scalar backend.
+  for (; j + 16 <= n; j += 16) {
+    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
+    __m256d d0 = _mm256_setzero_pd(), d1 = _mm256_setzero_pd();
+    __m256d d2 = _mm256_setzero_pd(), d3 = _mm256_setzero_pd();
+    const float* bp = bt + j;
+    for (std::size_t p = 0; p < k; ++p, bp += ldb) {
+      const __m256d b0 = _mm256_cvtps_pd(_mm_loadu_ps(bp));
+      const __m256d b1 = _mm256_cvtps_pd(_mm_loadu_ps(bp + 4));
+      const __m256d b2 = _mm256_cvtps_pd(_mm_loadu_ps(bp + 8));
+      const __m256d b3 = _mm256_cvtps_pd(_mm_loadu_ps(bp + 12));
+      const __m256d v0 = _mm256_set1_pd(static_cast<double>(arow0[p]));
+      const __m256d v1 = _mm256_set1_pd(static_cast<double>(arow1[p]));
+      // Exact-product double FMA == scalar mul-then-add (see header).
+      a0 = _mm256_fmadd_pd(v0, b0, a0);
+      a1 = _mm256_fmadd_pd(v0, b1, a1);
+      a2 = _mm256_fmadd_pd(v0, b2, a2);
+      a3 = _mm256_fmadd_pd(v0, b3, a3);
+      d0 = _mm256_fmadd_pd(v1, b0, d0);
+      d1 = _mm256_fmadd_pd(v1, b1, d1);
+      d2 = _mm256_fmadd_pd(v1, b2, d2);
+      d3 = _mm256_fmadd_pd(v1, b3, d3);
     }
+    _mm_storeu_ps(crow0 + j, _mm256_cvtpd_ps(a0));
+    _mm_storeu_ps(crow0 + j + 4, _mm256_cvtpd_ps(a1));
+    _mm_storeu_ps(crow0 + j + 8, _mm256_cvtpd_ps(a2));
+    _mm_storeu_ps(crow0 + j + 12, _mm256_cvtpd_ps(a3));
+    _mm_storeu_ps(crow1 + j, _mm256_cvtpd_ps(d0));
+    _mm_storeu_ps(crow1 + j + 4, _mm256_cvtpd_ps(d1));
+    _mm_storeu_ps(crow1 + j + 8, _mm256_cvtpd_ps(d2));
+    _mm_storeu_ps(crow1 + j + 12, _mm256_cvtpd_ps(d3));
   }
-  for (; j < n_rows_b; ++j) {
-    const float* brow = b + j * ldb;
-    double s = 0.0;
+  for (; j < n; ++j) {
+    double s0 = 0.0;
+    double s1 = 0.0;
     for (std::size_t p = 0; p < k; ++p) {
-      s += static_cast<double>(arow[p]) * brow[p];
+      const double b = bt[p * ldb + j];
+      s0 += static_cast<double>(arow0[p]) * b;
+      s1 += static_cast<double>(arow1[p]) * b;
     }
-    crow[j] = static_cast<float>(s);
+    crow0[j] = static_cast<float>(s0);
+    crow1[j] = static_cast<float>(s1);
   }
 }
 
@@ -355,13 +371,13 @@ void softmax_row(const float* in, std::size_t n, float* out) {
 namespace detail {
 
 const Kernels* avx2_kernels() {
-  // gemm_nt_row uses fmadd_pd, so require FMA alongside AVX2.
+  // gemm_nt2 uses fmadd_pd, so require FMA alongside AVX2.
   static const bool supported =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   if (!supported) return nullptr;
   static const Kernels k{
-      "avx2", gemm_rowblock, gemm_rowblock2, gemm_nt_row, axpy,
-      ew_add, ew_sub,        ew_mul,         ew_scale,    softmax_row,
+      "avx2", gemm_rowblock, gemm_rowblock2, gemm_nt2, axpy,
+      ew_add, ew_sub,        ew_mul,         ew_scale, softmax_row,
   };
   return &k;
 }

@@ -32,15 +32,19 @@ void gemm_rowblock2(const float* arow0, const float* arow1, std::size_t k0,
   gemm_rowblock(arow1, k0, k1, b, ldb, n, crow1);
 }
 
-void gemm_nt_row(const float* arow, const float* b, std::size_t ldb,
-                 std::size_t n_rows_b, std::size_t k, float* crow) {
-  for (std::size_t j = 0; j < n_rows_b; ++j) {
-    const float* brow = b + j * ldb;
-    double s = 0.0;
+void gemm_nt2(const float* arow0, const float* arow1, std::size_t k,
+              const float* bt, std::size_t ldb, std::size_t n, float* crow0,
+              float* crow1) {
+  for (std::size_t j = 0; j < n; ++j) {
+    double s0 = 0.0;
+    double s1 = 0.0;
     for (std::size_t p = 0; p < k; ++p) {
-      s += static_cast<double>(arow[p]) * brow[p];
+      const double b = bt[p * ldb + j];
+      s0 += static_cast<double>(arow0[p]) * b;
+      s1 += static_cast<double>(arow1[p]) * b;
     }
-    crow[j] = static_cast<float>(s);
+    crow0[j] = static_cast<float>(s0);
+    crow1[j] = static_cast<float>(s1);
   }
 }
 
@@ -82,8 +86,8 @@ namespace detail {
 
 const Kernels& scalar_kernels() {
   static const Kernels k{
-      "scalar", gemm_rowblock, gemm_rowblock2, gemm_nt_row, axpy,
-      ew_add,   ew_sub,        ew_mul,         ew_scale,    softmax_row,
+      "scalar", gemm_rowblock, gemm_rowblock2, gemm_nt2, axpy,
+      ew_add,   ew_sub,        ew_mul,         ew_scale, softmax_row,
   };
   return k;
 }

@@ -51,12 +51,13 @@ bool finite_checks_enabled() {
   return v != 0;
 }
 
-// All three matmul variants parallelize over disjoint row blocks of C
+// matmul and matmul_nt parallelize over disjoint row blocks of C
 // through util::Parallel and hand each row block to the active backend
-// (tensor/backend.hpp). Each output row is accumulated by exactly one
-// chunk in the same p-order as the serial loop, so results are
-// bitwise-identical at every thread count — and, by the backend
-// determinism contract, at every TAGLETS_TENSOR_BACKEND setting.
+// (tensor/backend.hpp); matmul_tn is matmul over a transposed A. Each
+// output row is accumulated by exactly one chunk in the same p-order as
+// the serial loop, so results are bitwise-identical at every thread
+// count — and, by the backend determinism contract, at every
+// TAGLETS_TENSOR_BACKEND setting.
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   TAGLETS_CHECK(a.is_matrix() && b.is_matrix(), "matmul: rank-2 required");
@@ -91,25 +92,11 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   TAGLETS_CHECK(a.is_matrix() && b.is_matrix(), "matmul_tn: rank-2 required");
   TAGLETS_CHECK(a.rows() == b.rows(), "matmul_tn: inner dim mismatch");
-  debug_check_finite(a, "matmul_tn");
-  debug_check_finite(b, "matmul_tn");
-  const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
-  Tensor c = Tensor::zeros(m, n);
-  const backend::Kernels& kern = backend::active();
-  util::parallel_for_ranges(m, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const float* arow = a.row(p).data();
-      const float* brow = b.row(p).data();
-      for (std::size_t i = r0; i < r1; ++i) {
-        const float av = arow[i];
-        // The zero-skip decision lives here, in backend-independent
-        // caller code, so every backend sees the identical policy.
-        if (av == 0.0f) continue;
-        kern.axpy(n, av, brow, c.row(i).data());
-      }
-    }
-  });
-  return c;
+  // Per output element this is the op sequence of a p-outer axpy loop
+  // over the rows of a: ascending p, float mul-then-add, and the
+  // zero-skip decided on the same scalar a[p][i]. So the register-tiled
+  // matmul kernels give the same bits once a^T is materialized.
+  return matmul(transpose(a), b);
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
@@ -117,11 +104,22 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   TAGLETS_CHECK(a.cols() == b.cols(), "matmul_nt: inner dim mismatch");
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   Tensor c = Tensor::zeros(m, n);
+  // One transpose per call, so the kernel reads B^T rows contiguously
+  // instead of striding down the rows of B.
+  const Tensor bt = transpose(b);
   const backend::Kernels& kern = backend::active();
-  const float* bp = b.data().data();
+  const float* btp = bt.data().data();
   util::parallel_for_ranges(m, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      kern.gemm_nt_row(a.row(i).data(), bp, k, n, k, c.row(i).data());
+    std::size_t i = r0;
+    for (; i + 1 < r1; i += 2) {
+      kern.gemm_nt2(a.row(i).data(), a.row(i + 1).data(), k, btp, n, n,
+                    c.row(i).data(), c.row(i + 1).data());
+    }
+    if (i < r1) {
+      // An odd last row runs as both rows of the pair (the kernel only
+      // stores to C, so the aliased second row rewrites the same bits).
+      kern.gemm_nt2(a.row(i).data(), a.row(i).data(), k, btp, n, n,
+                    c.row(i).data(), c.row(i).data());
     }
   });
   return c;

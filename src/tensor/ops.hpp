@@ -32,10 +32,10 @@ bool finite_checks_enabled();
 
 /// C = A(mxk) * B(kxn).
 Tensor matmul(const Tensor& a, const Tensor& b);
-/// C = A^T(kxm -> mxk view) * B, i.e. matmul(transpose(a), b) without
-/// materializing the transpose.
+/// C = A^T * B for A (k x m), B (k x n): exactly matmul(transpose(a), b),
+/// bit for bit.
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
-/// C = A * B^T.
+/// C = A * B^T, accumulated per element in double (no zero-skip).
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 Tensor transpose(const Tensor& a);
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <thread>
@@ -11,6 +12,7 @@
 #include "backbone/zoo.hpp"
 #include "nn/trainer.hpp"
 #include "obs/metrics.hpp"
+#include "tensor/ops.hpp"
 #include "test_support.hpp"
 
 namespace taglets::backbone {
@@ -90,6 +92,44 @@ TEST(Backbone, ReferenceHeadShapes) {
   EXPECT_EQ(head.weights.rows(), head.concepts.size());
   EXPECT_EQ(head.weights.cols(), rn50.feature_dim);
   EXPECT_EQ(head.biases.size(), head.concepts.size());
+}
+
+// train_reference_head runs the frozen encoder once over the corpus;
+// the head must come out exactly as when the encoder ran inside every
+// batch, with the same RNG draws.
+TEST(Backbone, ReferenceHeadEqualsPerBatchEncoderTrainingBitwise) {
+  auto& world = taglets::testing::small_world();
+  Pretrained rn50 = taglets::testing::small_zoo().get(Kind::kRn50S);
+  PretrainConfig config = taglets::testing::small_pretrain_config();
+  config.epochs = 3;
+  const ReferenceHead head =
+      train_reference_head(world, rn50, rn50.pretrain_concepts, config);
+
+  util::Rng rng(util::combine_seeds({world.config().seed, 0x2EFULL}));
+  synth::Dataset corpus = world.make_auxiliary_corpus(
+      rn50.pretrain_concepts, config.images_per_class, rng);
+  nn::Classifier model(rn50.encoder, rn50.feature_dim, corpus.num_classes(),
+                       rng);
+  nn::FitConfig fit;
+  fit.epochs = config.epochs + 2;
+  fit.batch_size = config.batch_size;
+  fit.freeze_encoder = true;
+  fit.optimizer = nn::FitConfig::Opt::kSgd;
+  fit.sgd.lr = 0.05;
+  fit.sgd.momentum = config.momentum;
+  nn::fit_hard(model, corpus.inputs, corpus.labels, fit, rng);
+
+  const tensor::Tensor weights =
+      tensor::transpose(model.head().weight().value);
+  const tensor::Tensor& biases = model.head().bias().value;
+  ASSERT_TRUE(tensor::same_shape(head.weights, weights));
+  ASSERT_TRUE(tensor::same_shape(head.biases, biases));
+  EXPECT_EQ(std::memcmp(head.weights.data().data(), weights.data().data(),
+                        weights.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(head.biases.data().data(), biases.data().data(),
+                        biases.size() * sizeof(float)),
+            0);
 }
 
 TEST(Zoo, DiskCacheRoundTrips) {

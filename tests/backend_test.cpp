@@ -3,6 +3,8 @@
 //  * the bitwise-determinism contract across backends, pinned over
 //    adversarial shapes (k = 0, 1xN, odd tails, signed zeros,
 //    denormals) and over the NaN zero-skip policy,
+//  * matmul_tn / matmul_nt pinned bitwise to the loops they replaced
+//    (kept below as reference implementations),
 //  * property checks of every backend against a naive triple loop.
 #include <gtest/gtest.h>
 
@@ -95,6 +97,45 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+// The loops matmul_tn and matmul_nt ran before they moved onto the
+// register-tiled kernels, kept verbatim as their semantics of record
+// (this TU is compiled with -ffp-contract=off, like the kernels).
+// matmul_tn: p-outer axpy over the rows of A, with the zero-skip taken
+// on a[p][i] before the axpy.
+Tensor reference_matmul_tn(const Tensor& a, const Tensor& b) {
+  const std::size_t m = a.cols(), k = a.rows(), n = b.cols();
+  Tensor c = Tensor::zeros(m, n);
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* arow = a.row(p).data();
+    const float* brow = b.row(p).data();
+    for (std::size_t i = 0; i < m; ++i) {
+      const float av = arow[i];
+      if (av == 0.0f) continue;
+      float* crow = c.row(i).data();
+      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+  return c;
+}
+
+// matmul_nt: one double dot product per output element, ascending p.
+Tensor reference_matmul_nt(const Tensor& a, const Tensor& b) {
+  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
+  Tensor c = Tensor::zeros(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a.row(i).data();
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* brow = b.row(j).data();
+      double s = 0.0;
+      for (std::size_t p = 0; p < k; ++p) {
+        s += static_cast<double>(arow[p]) * brow[p];
+      }
+      c.at(i, j) = static_cast<float>(s);
+    }
+  }
+  return c;
+}
+
 void expect_close(const Tensor& a, const Tensor& b, float tol = 1e-4f) {
   ASSERT_TRUE(same_shape(a, b))
       << a.shape_string() << " vs " << b.shape_string();
@@ -140,7 +181,8 @@ TEST(BackendRegistry, EveryListedBackendHasCompleteKernelTable) {
     ASSERT_NE(k, nullptr);
     EXPECT_NE(k->name, nullptr);
     EXPECT_NE(k->gemm_rowblock, nullptr);
-    EXPECT_NE(k->gemm_nt_row, nullptr);
+    EXPECT_NE(k->gemm_rowblock2, nullptr);
+    EXPECT_NE(k->gemm_nt2, nullptr);
     EXPECT_NE(k->axpy, nullptr);
     EXPECT_NE(k->ew_add, nullptr);
     EXPECT_NE(k->ew_sub, nullptr);
@@ -180,6 +222,60 @@ TEST(BackendDeterminism, MatmulBitwiseIdenticalAcrossBackends) {
       expect_same_bits(matmul_nt(a, transpose(b)), ref_nt, k->name);
     }
   }
+}
+
+// Not just backend against backend: both products must equal, bit for
+// bit, the reference loops above on every backend. Shapes add 16- and
+// 17-column outputs (one full gemm_nt2 strip, and a strip plus a scalar
+// tail) to the adversarial set. Besides zeros, signed zeros and
+// denormals, each case plants NaN in a B row whose A multiplier is
+// zero: matmul_tn must skip it, matmul_nt (no zero-skip) must
+// propagate it, both exactly as the reference does.
+TEST(BackendDeterminism, MatmulTnNtBitwiseEqualReferenceLoops) {
+  std::vector<Shape> shapes(std::begin(kAdversarialShapes),
+                            std::end(kAdversarialShapes));
+  shapes.insert(shapes.end(), {{3, 9, 16}, {5, 33, 17}, {4, 160, 16},
+                               {7, 64, 17}, {2, 40, 33}, {6, 128, 20}});
+  const bool prev_checks = set_finite_checks(false);
+  for (const Shape& s : shapes) {
+    util::Rng rng(s.m * 7919 + s.k * 131 + s.n);
+    // matmul_tn(at, b): at is (k x m), b is (k x n).
+    Tensor at = random_tensor(s.k, s.m, rng);
+    Tensor b = random_tensor(s.k, s.n, rng);
+    // matmul_nt(a, bn): a is (m x k), bn is (n x k).
+    Tensor a = random_tensor(s.m, s.k, rng);
+    Tensor bn = random_tensor(s.n, s.k, rng);
+    poison(at, rng);
+    poison(b, rng);
+    poison(a, rng);
+    poison(bn, rng);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    if (s.k > 0) {
+      const std::size_t p = s.k / 2;
+      for (std::size_t i = 0; i < s.m; ++i) {
+        at.at(p, i) = (i % 2 == 0) ? 0.0f : -0.0f;
+        a.at(i, p) = (i % 2 == 0) ? -0.0f : 0.0f;
+      }
+      for (std::size_t j = 0; j < s.n; ++j) b.at(p, j) = nan;
+      if (s.n > 0) bn.at(s.n - 1, p) = nan;
+    }
+    const Tensor ref_tn = reference_matmul_tn(at, b);
+    const Tensor ref_nt = reference_matmul_nt(a, bn);
+    for (const backend::Kernels* k : all_backends()) {
+      BackendOverride other(k);
+      expect_same_bits(matmul_tn(at, b), ref_tn, k->name);
+      expect_same_bits(matmul_nt(a, bn), ref_nt, k->name);
+    }
+    if (s.k > 0 && s.m > 0) {
+      for (std::size_t j = 0; j < s.n; ++j) {
+        ASSERT_FALSE(std::isnan(ref_tn.at(0, j)));  // skipped
+      }
+      if (s.n > 0) {
+        ASSERT_TRUE(std::isnan(ref_nt.at(0, s.n - 1)));  // propagated
+      }
+    }
+  }
+  set_finite_checks(prev_checks);
 }
 
 TEST(BackendDeterminism, SoftmaxBitwiseIdenticalAcrossBackends) {

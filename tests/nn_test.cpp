@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "nn/classifier.hpp"
@@ -24,6 +25,21 @@ Tensor random_batch(std::size_t rows, std::size_t cols, util::Rng& rng) {
   Tensor t = Tensor::zeros(rows, cols);
   for (float& x : t.data()) x = static_cast<float>(rng.normal());
   return t;
+}
+
+void expect_same_bits(const Tensor& a, const Tensor& b) {
+  ASSERT_TRUE(tensor::same_shape(a, b));
+  ASSERT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                        a.size() * sizeof(float)),
+            0);
+}
+
+void expect_same_grads(const std::vector<Parameter*>& got,
+                       const std::vector<Parameter*>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_same_bits(got[i]->grad, want[i]->grad);
+  }
 }
 
 // ----------------------------------------------------------------- init
@@ -165,6 +181,50 @@ TEST(Sequential, InputGradCheck) {
     return cross_entropy(l, labels).loss;
   };
   EXPECT_LT(max_input_grad_error(x, dx, loss_fn), 5e-2);
+}
+
+// backward_params must accumulate exactly the parameter gradients that
+// backward does (dW += x^T g, db += column sums of g); it only skips
+// the input gradient.
+TEST(Linear, BackwardParamsMatchesBackwardBitwise) {
+  util::Rng rng(15);
+  Linear full(7, 5, rng);
+  Linear params_only(full.weight().value, full.bias().value);
+  Tensor x = random_batch(6, 7, rng);
+  Tensor g = random_batch(6, 5, rng);
+  x.at(2, 3) = 0.0f;  // a zero-skip in dW
+  Tensor want_dw = Tensor::zeros(7, 5);
+  Tensor want_db = Tensor::zeros(5);
+  for (int step = 0; step < 2; ++step) {  // accumulates, never resets
+    full.forward(x, true);
+    full.backward(g);
+    params_only.forward(x, true);
+    params_only.backward_params(g);
+    tensor::add_scaled_inplace(want_dw, tensor::matmul_tn(x, g), 1.0f);
+    tensor::add_scaled_inplace(want_db, tensor::column_sums(g), 1.0f);
+  }
+  expect_same_grads(params_only.parameters(), full.parameters());
+  expect_same_bits(params_only.weight().grad, want_dw);
+  expect_same_bits(params_only.bias().grad, want_db);
+}
+
+TEST(Sequential, BackwardParamsMatchesBackwardBitwise) {
+  util::Rng rng(17);
+  Sequential full = make_mlp({9, 12, 7, 4}, rng, /*dropout=*/0.2f);
+  full.add(std::make_unique<Tanh>());
+  Sequential params_only = full;  // same weights and dropout RNG state
+  Tensor x = random_batch(5, 9, rng);
+  Tensor g = random_batch(5, 4, rng);
+  full.zero_grad();
+  full.forward(x, true);
+  full.backward(g);
+  params_only.zero_grad();
+  params_only.forward(x, true);
+  params_only.backward_params(g);
+  expect_same_grads(params_only.parameters(), full.parameters());
+
+  Sequential empty;
+  empty.backward_params(g);  // no layers: nothing to do
 }
 
 TEST(Sequential, CopyIsDeep) {
@@ -375,14 +435,42 @@ TEST(Classifier, FrozenEncoderExcludesEncoderParams) {
   EXPECT_EQ(model.parameters().size(), 2u);  // head weight + bias
 }
 
-TEST(Classifier, ReplaceHeadValidatesWidth) {
-  util::Rng rng(47);
-  Sequential encoder = make_mlp({4, 6, 5}, rng);
+TEST(Classifier, BackwardMatchesLayerByLayerBackpropBitwise) {
+  util::Rng rng(45);
+  Sequential encoder = make_mlp({6, 8, 5}, rng);
   Classifier model(encoder, 5, 3, rng);
-  EXPECT_THROW(model.replace_head(Linear(Tensor::zeros(7, 3), Tensor::zeros(3))),
-               std::invalid_argument);
-  model.replace_head(Linear(Tensor::zeros(5, 8), Tensor::zeros(8)));
-  EXPECT_EQ(model.num_classes(), 8u);
+  Classifier reference = model;
+  Tensor x = random_batch(4, 6, rng);
+  Tensor g = random_batch(4, 3, rng);
+  model.zero_grad();
+  model.logits(x, true);
+  model.backward(g);
+  reference.zero_grad();
+  reference.logits(x, true);
+  reference.encoder().backward(reference.head().backward(g));
+  expect_same_grads(model.parameters(), reference.parameters());
+}
+
+TEST(Classifier, FrozenBackwardMatchesHeadGradsAndLeavesEncoderAlone) {
+  util::Rng rng(46);
+  Sequential encoder = make_mlp({6, 8, 5}, rng);
+  Classifier frozen(encoder, 5, 3, rng);
+  Classifier full = frozen;
+  Tensor x = random_batch(4, 6, rng);
+  Tensor g = random_batch(4, 3, rng);
+  full.zero_grad();
+  full.logits(x, true);
+  full.backward(g);
+
+  frozen.set_encoder_frozen(true);
+  frozen.zero_grad();
+  for (Parameter* p : frozen.encoder().parameters()) p->grad.fill(0.25f);
+  frozen.logits(x, true);
+  frozen.backward(g);
+  expect_same_grads(frozen.head().parameters(), full.head().parameters());
+  for (Parameter* p : frozen.encoder().parameters()) {
+    for (float v : p->grad.data()) ASSERT_EQ(v, 0.25f);
+  }
 }
 
 TEST(Classifier, SaveLoadPreservesPredictions) {
